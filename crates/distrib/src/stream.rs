@@ -454,8 +454,19 @@ impl IncrementalSegmenter {
                 state.process_count
             )));
         }
-        if state.max_event_time < state.open_base && state.any_event {
-            return Err(bad("max_event_time precedes the open segment base"));
+        // Admission sets the event's process clock to the event's time and
+        // clocks never move back, so the newest event is never ahead of every
+        // clock. (It may well precede `open_base`: heartbeats carry the
+        // watermark past the last event, and `finish` handles that.)
+        if state.any_event
+            && state
+                .clocks
+                .iter()
+                .flatten()
+                .max()
+                .is_none_or(|&clock| state.max_event_time > clock)
+        {
+            return Err(bad("max_event_time is ahead of every process clock"));
         }
         let mut saw_event = false;
         for (p, buf) in state.buffered.iter().enumerate() {
@@ -1114,5 +1125,64 @@ mod tests {
             strict.heartbeat(0, 4),
             Err(StreamError::OutOfOrder { .. })
         ));
+    }
+
+    /// Exports, re-imports, and checks the copy closes the same tail as the
+    /// original.
+    fn assert_roundtrips(mut seg: IncrementalSegmenter, context: &str) {
+        let image = seg.export_state();
+        let mut restored = IncrementalSegmenter::from_state(image.clone())
+            .unwrap_or_else(|e| panic!("{context}: {e}"));
+        assert_eq!(restored.export_state(), image, "{context}");
+        let (a, b) = (seg.finish(), restored.finish());
+        assert_eq!(a.len(), b.len(), "{context}: tail segments");
+        for (x, y) in a.iter().zip(&b) {
+            assert_same(x, y, context);
+        }
+    }
+
+    #[test]
+    fn heartbeats_past_the_last_event_export_and_restore() {
+        for policy in [
+            FaultPolicy::Strict,
+            FaultPolicy::Dedup,
+            FaultPolicy::BestEffort,
+        ] {
+            let mut seg = IncrementalSegmenter::new(2, 1, 5).with_policy(policy);
+            seg.observe(0, 1, state!["a"]).unwrap();
+            seg.observe(1, 2, state!["b"]).unwrap();
+            for t in [10, 30, 50] {
+                seg.heartbeat(0, t).unwrap();
+                seg.heartbeat(1, t).unwrap();
+            }
+            assert!(seg.open_base() > seg.max_event_time(), "{policy:?}");
+            assert_roundtrips(seg, &format!("{policy:?}"));
+        }
+        // BestEffort absorbs a late and a reordered event: neither moves a
+        // clock or `max_event_time`, so the image stays importable.
+        let mut seg = IncrementalSegmenter::new(2, 1, 5).with_policy(FaultPolicy::BestEffort);
+        seg.observe(0, 1, state!["a"]).unwrap();
+        seg.observe(1, 8, state!["b"]).unwrap();
+        seg.heartbeat(0, 50).unwrap();
+        seg.heartbeat(1, 50).unwrap();
+        assert!(seg.observe(0, 3, state!["late"]).unwrap().is_empty());
+        seg.observe(1, 52, state!["c"]).unwrap();
+        assert!(seg.observe(1, 51, state!["reordered"]).unwrap().is_empty());
+        assert_eq!(seg.fault_counters().total(), 2);
+        assert_roundtrips(seg, "BestEffort after absorbed events");
+    }
+
+    #[test]
+    fn from_state_rejects_an_event_ahead_of_every_clock() {
+        let mut seg = IncrementalSegmenter::new(2, 1, 5);
+        seg.observe(0, 1, state!["a"]).unwrap();
+        seg.heartbeat(1, 3).unwrap();
+        let mut image = seg.export_state();
+        image.max_event_time = 4;
+        let err = IncrementalSegmenter::from_state(image).unwrap_err();
+        assert!(
+            err.to_string().contains("ahead of every process clock"),
+            "{err}"
+        );
     }
 }

@@ -24,30 +24,45 @@
 //! `tests/differential.rs` pins this on the synthetic corpus and the
 //! protocol drivers.
 //!
-//! # 2. Pipelined segment stages (same-segment batching)
+//! # 2. Segment stages: one solve per distinct obligation
 //!
-//! Closed segments buffer up to the configured flush depth and are processed
-//! as one batch by a pool of scoped worker threads (`std::thread::scope`).
-//! The unit of work is one `(query, segment, pending formula)` triple, but
-//! workers *drain and solve in same-segment batches*: a worker pops an item
-//! and takes every queued item of the same segment along with it (capped to
-//! a fair share under contention), progressing the whole batch through
-//! **one** [`rvmtl_solver::SegmentSolver`] — the segment's cache slot is
-//! taken and merged back once per batch, and the solver's pooled work-stack
-//! frames and probe scratch stay warm across it. Each distinct rewritten
-//! formula is enqueued immediately as a work item for the next segment, so
-//! segment `k + 1` starts progressing a formula **as soon as stage `k`
-//! emits it** — there is no barrier between segments, and idle cores pick
-//! up whatever stage has work. Per-`(segment, query)` dedup sets keep the
-//! pending-set semantics identical to the sequential union; a per-segment
-//! result cache additionally collapses *cross-query* duplicates (several
-//! queries carrying the same canonical pending obligation solve the segment
-//! once), and the solver's per-segment memo/feasibility caches
-//! ([`rvmtl_solver::SegmentCaches`]) live in one slot per segment, taken
-//! and merged back per batch instead of rebuilt per formula. A query
-//! registered mid-stream ([`StreamMonitor::add_query`] after segments
-//! closed) is re-anchored at the current watermark boundary and enters the
-//! pipeline at that boundary's stage.
+//! A long-running service accumulates queries whose verdicts settled long
+//! ago (a pending set of ⊤ or ⊥), and queries that carry the same
+//! obligation. Per-segment work is therefore proportional to the *distinct
+//! live obligations*, not to the registered queries, on both execution
+//! paths. The sequential path collects the distinct pending
+//! [`rvmtl_mtl::ShiftedId`]s of the queries observing a segment (in
+//! first-seen order, so a single query progresses in its own pending
+//! order), progresses each once through the segment's
+//! [`rvmtl_solver::SegmentSolver`], and fans the results back; a query whose
+//! every obligation maps onto itself — every settled query — keeps its
+//! pending set untouched.
+//!
+//! The pipelined path buffers closed segments up to the configured flush
+//! depth and processes them as one batch on a pool of scoped worker threads
+//! (`std::thread::scope`). Queries with the same entry segment and pending
+//! set form one *class*; the pipeline progresses classes and the monitor
+//! fans each class's result back to its queries, re-interning each
+//! distinct obligation into the worker arena, and each distinct result back
+//! into the query arena, once per batch. The unit of work is one `(class,
+//! segment, pending formula)` triple, but workers *drain and solve in
+//! same-segment batches*: a worker pops an item and takes every queued item
+//! of the same segment along with it (capped to a fair share under
+//! contention), progressing the whole batch through **one** solver — the
+//! segment's cache slot is taken and merged back once per batch, and the
+//! solver's pooled work-stack frames and probe scratch stay warm across it.
+//! Each distinct rewritten formula is enqueued immediately as a work item
+//! for the next segment, so segment `k + 1` starts progressing a formula
+//! **as soon as stage `k` emits it** — there is no barrier between
+//! segments, and idle cores pick up whatever stage has work.
+//! Per-`(segment, class)` dedup sets keep the pending-set semantics
+//! identical to the sequential union; a per-segment result cache collapses
+//! the obligations that different classes share, and the solver's
+//! per-segment memo/feasibility caches ([`rvmtl_solver::SegmentCaches`])
+//! live in one slot per segment, taken and merged back per batch instead of
+//! rebuilt per formula. A query registered mid-stream
+//! ([`StreamMonitor::add_query`] after segments closed) is re-anchored at
+//! the current watermark boundary and enters at that boundary's segment.
 //!
 //! Inside each batch the solver explores with the data-oriented work-stack
 //! engine ([`rvmtl_solver::ExploreEngine::WorkStack`], the default): an
@@ -121,11 +136,12 @@
 //! fault-injection differential suite in `tests/faults.rs`, driven by the
 //! deterministic seeded [`FaultInjector`].
 //!
-//! Solver stages are *panic-isolated*: each `(query, segment, pending
-//! formula)` work item runs under `catch_unwind` on both execution paths, so
-//! a panicking obligation is lost alone — it is reported as an inconclusive
-//! verdict, its query is tagged `Degraded { worker_panics, .. }`, and every
-//! other obligation and query proceeds exactly. Shared-state locks recover
+//! Solver stages are *panic-isolated*: each solve runs under `catch_unwind`
+//! on both execution paths, so a panicking obligation is lost alone — for
+//! every query holding it, it is reported as an inconclusive verdict and
+//! the query is tagged `Degraded { worker_panics, .. }` (one panic counted
+//! per query and obligation); every other obligation and query proceeds
+//! exactly. Shared-state locks recover
 //! from poisoning (the guarded structures are consistent at every panic
 //! point); the global [`RuntimeHealth`] surface
 //! ([`StreamMonitor::health`]) counts rejections, absorptions, lost items
@@ -185,11 +201,17 @@
 //! * **Timing instruments** — log2-bucketed histograms (p50/p90/p99) of
 //!   segment solve time, batch solve time, event-to-verdict latency,
 //!   per-query verdict latency, GC pause, checkpoint write time and
-//!   per-work-item wall time, plus pipeline busy/wall counters. These exist
+//!   per-solve wall time (`rvmtl_work_item_nanos`: one sample per distinct
+//!   obligation progressed through a segment, however many queries hold
+//!   it), plus pipeline busy/wall counters. These exist
 //!   only under [`StreamConfig::with_telemetry`]; disabled, every
 //!   instrument is a no-op handle and each call site costs one never-taken
-//!   branch (the enabled-path overhead budget is ~2% on the bench
-//!   workloads). Timing values are wall-clock and are never pinned.
+//!   branch. Enabled, the cost is measured rather than budgeted: perfbench's
+//!   `obs.tracing_overhead_pct` (telemetry on plus the benchmark's own
+//!   per-call spans, against interleaved untraced passes) read −2.6 to
+//!   8.0 % on `fischer_timed` and 5.2 to 13.0 % on `swap_fleet` over four
+//!   traced runs each on a 2-vCPU VM; single runs move by several points.
+//!   Timing values are wall-clock and are never pinned.
 //!
 //! The **flight recorder** ([`StreamMonitor::flight_recorder`]) retains the
 //! last `flight_capacity` lifecycle events — event observed → segment
@@ -210,9 +232,13 @@
 //! # Multi-query front end
 //!
 //! [`StreamMonitor::add_query`] multiplexes any number of formulas over one
-//! stream: segmentation, solver per-segment caches (sequential path), the
-//! shared worker arena (pipelined path) and GC epochs are all shared;
-//! pending sets, verdicts and integrity tags stay per-query.
+//! stream: segmentation, the solves of each segment's distinct obligations
+//! (see section 2), the shared worker arena (pipelined path) and GC epochs
+//! are all shared; pending sets, verdicts and integrity tags stay
+//! per-query. A query whose pending set shares every obligation with
+//! another costs no solver work of its own, so its solver counters are not
+//! counted twice either: on the sequential path, [`StreamReport::stats`] of
+//! K identical queries equals that of one.
 //!
 //! # Wire ingestion
 //!

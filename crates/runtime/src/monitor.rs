@@ -12,6 +12,7 @@ use rvmtl_distrib::{
     DistributedComputation, FaultCounters, FaultPolicy, IncrementalSegmenter, StreamError,
 };
 use rvmtl_monitor::{Integrity, Verdict, VerdictSet};
+use rvmtl_mtl::hashing::FxHashMap;
 use rvmtl_mtl::{
     ArenaMemory, ArenaOps, Formula, FormulaId, Interner, ShardedInterner, ShiftedId, State,
 };
@@ -19,6 +20,7 @@ use rvmtl_obs::{FlightKind, FlightRecorder, Stopwatch, TelemetrySnapshot};
 use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -60,9 +62,10 @@ struct QueryState {
     /// after its anchor boundary) — the evidence behind its verdicts is
     /// degraded by exactly these.
     faults: FaultCounters,
-    /// Work items of this query lost to a panicking solver stage.
+    /// Obligations of this query lost to a panicking solve (one per
+    /// obligation, also when other queries held and lost it too).
     panics: u64,
-    /// The obligations those lost items carried, resolved to plain formulas
+    /// The obligations lost, resolved to plain formulas
     /// (so they survive arena GC) and reported as
     /// [`Verdict::Inconclusive`] entries.
     lost: BTreeSet<Formula>,
@@ -77,6 +80,40 @@ impl QueryState {
             self.faults.late_beyond_epsilon,
             self.panics,
         )
+    }
+}
+
+/// Per-segment scratch of the sequential path, kept across segments so that
+/// a segment allocates nothing beyond its solves and its changed pending
+/// sets.
+#[derive(Default)]
+struct SegmentScratch {
+    /// Distinct pending obligation → its position in `distinct`.
+    index: FxHashMap<ShiftedId, usize>,
+    /// The distinct pending obligations of the observing queries, in
+    /// first-seen order (query order, then pending order).
+    distinct: Vec<ShiftedId>,
+    /// For each observing query in order, the `distinct` position of each
+    /// of its pending obligations.
+    slots: Vec<usize>,
+    /// `distinct`, materialised.
+    seeds: Vec<FormulaId>,
+    /// Per distinct obligation, its rewrites as a range of `rewrites`, or
+    /// `None` when its solve panicked.
+    solved: Vec<Option<Range<usize>>>,
+    /// The rewritten formulas of every solve, concatenated, in shift-normal
+    /// form.
+    rewrites: Vec<ShiftedId>,
+}
+
+impl SegmentScratch {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.distinct.clear();
+        self.slots.clear();
+        self.seeds.clear();
+        self.solved.clear();
+        self.rewrites.clear();
     }
 }
 
@@ -194,6 +231,9 @@ pub struct StreamMonitor {
     /// The registry-resident timing instruments and the flight recorder
     /// (all no-ops unless [`StreamConfig::with_telemetry`] was set).
     metrics: RuntimeMetrics,
+    /// Reused buffers of the sequential path (empty until the first
+    /// segment is solved).
+    scratch: SegmentScratch,
 }
 
 impl StreamMonitor {
@@ -234,6 +274,7 @@ impl StreamMonitor {
             queue_depth_peak: 0,
             closed_at: HashMap::new(),
             metrics,
+            scratch: SegmentScratch::default(),
         }
     }
 
@@ -771,122 +812,149 @@ impl StreamMonitor {
         }
     }
 
-    /// Sequential stage execution: one [`SegmentSolver`] per segment, shared
-    /// by every pending formula of every query (cross-query memo sharing).
-    /// Queries anchored after a segment's base skip it.
+    /// Sequential stage execution: one [`SegmentSolver`] per segment, and
+    /// one solve per *distinct* pending obligation of the queries observing
+    /// it — shift-normal pendings make a shared obligation one
+    /// [`ShiftedId`], so queries carrying it (and every settled query's
+    /// ⊤/⊥) cost one progress call between them. Results fan back to the
+    /// queries; a query whose every obligation maps onto itself keeps its
+    /// pending set as it is. Queries anchored after a segment's base skip
+    /// it.
     fn process_sequential(&mut self, batch: Vec<QueuedSegment>) {
         let enabled = self.metrics.is_enabled();
         for QueuedSegment { comp, next_anchor } in batch {
             let segment_timer = enabled.then(Stopwatch::start);
-            // Materialise the shift-normal pendings before the solver
-            // borrows the arena exclusively.
-            let seeds: Vec<Option<Vec<FormulaId>>> = self
-                .queries
-                .iter()
-                .map(|query| {
-                    (comp.base_time() >= query.anchored_at).then(|| {
-                        query
-                            .pending
-                            .iter()
-                            .map(|&s| ArenaOps::materialize(&mut self.arena, s))
-                            .collect()
-                    })
-                })
-                .collect();
+            let base = comp.base_time();
+            let scratch = &mut self.scratch;
+            scratch.clear();
+            for query in self.queries.iter().filter(|q| base >= q.anchored_at) {
+                for &s in &query.pending {
+                    let next = scratch.distinct.len();
+                    let slot = *scratch.index.entry(s).or_insert(next);
+                    if slot == next {
+                        scratch.distinct.push(s);
+                    }
+                    scratch.slots.push(slot);
+                }
+            }
+            // Materialise the distinct obligations (first-seen order, so a
+            // single query solves in its own pending order) before the
+            // solver borrows the arena exclusively.
+            for &s in &scratch.distinct {
+                let psi = ArenaOps::materialize(&mut self.arena, s);
+                scratch.seeds.push(psi);
+            }
             let mut solver = SegmentSolver::new(&comp, next_anchor, &mut self.arena);
             if let Some(l) = self.config.max_solutions_per_segment {
                 solver = solver.with_limit(l);
             }
-            let mut outs: Vec<Option<BTreeSet<FormulaId>>> = Vec::with_capacity(seeds.len());
-            let mut lost: Vec<(usize, FormulaId)> = Vec::new();
-            for (qi, seed) in seeds.into_iter().enumerate() {
-                let Some(seed) = seed else {
-                    outs.push(None);
-                    continue;
+            for &psi in &scratch.seeds {
+                // Isolate the solve exactly like the pipelined path: a
+                // panicking obligation is lost (for every query holding it,
+                // reported inconclusive) while every other obligation
+                // proceeds.
+                let item_timer = enabled.then(Stopwatch::start);
+                let solved = match catch_unwind(AssertUnwindSafe(|| solver.progress(psi))) {
+                    Ok(result) => {
+                        self.stats.absorb(&result.stats);
+                        let start = scratch.rewrites.len();
+                        let plain = result.formulas.into_iter().map(ShiftedId::unshifted);
+                        scratch.rewrites.extend(plain);
+                        Some(start..scratch.rewrites.len())
+                    }
+                    Err(_) => None,
                 };
-                let mut out = BTreeSet::new();
-                for psi in seed {
-                    // Isolate the solve exactly like the pipelined path: a
-                    // panicking obligation is lost (recorded below, reported
-                    // inconclusive) while the query's other obligations and
-                    // every other query proceed.
-                    let item_timer = enabled.then(Stopwatch::start);
-                    match catch_unwind(AssertUnwindSafe(|| solver.progress(psi))) {
-                        Ok(result) => {
-                            self.stats.absorb(&result.stats);
-                            out.extend(result.formulas);
-                        }
-                        Err(_) => lost.push((qi, psi)),
-                    }
-                    if let Some(timer) = item_timer {
-                        self.metrics.work_item.record(timer.elapsed_nanos());
-                    }
+                scratch.solved.push(solved);
+                if let Some(timer) = item_timer {
+                    self.metrics.work_item.record(timer.elapsed_nanos());
                 }
-                outs.push(Some(out));
             }
             drop(solver);
             if let Some(timer) = segment_timer {
                 self.metrics.segment_solve.record(timer.elapsed_nanos());
             }
-            for (query, out) in self.queries.iter_mut().zip(outs) {
-                if let Some(out) = out {
-                    query.pending = out
-                        .into_iter()
-                        .map(|id| ArenaOps::normalize(&self.arena, id))
-                        .collect();
-                }
+            // Normalise once the solver has released the arena.
+            for rewrite in &mut scratch.rewrites {
+                *rewrite = ArenaOps::normalize(&self.arena, rewrite.id);
             }
-            // Resolve lost obligations to plain formulas now, while their
-            // ids are still valid (GC may renumber the arena later).
-            for (qi, psi) in lost {
-                let phi = ArenaOps::resolve(&self.arena, psi);
-                self.queries[qi].lost.insert(phi);
-                self.queries[qi].panics += 1;
-                self.worker_panics += 1;
+            let mut cursor = 0;
+            for query in self.queries.iter_mut().filter(|q| base >= q.anchored_at) {
+                let mine = &scratch.slots[cursor..cursor + query.pending.len()];
+                cursor += mine.len();
+                let unchanged = mine.iter().zip(&query.pending).all(|(&k, s)| {
+                    scratch.solved[k]
+                        .clone()
+                        .is_some_and(|r| scratch.rewrites[r] == [*s])
+                });
+                if unchanged {
+                    continue;
+                }
+                let mut pending = BTreeSet::new();
+                for &k in mine {
+                    match scratch.solved[k].clone() {
+                        Some(r) => pending.extend(scratch.rewrites[r].iter().copied()),
+                        None => {
+                            // Resolve the lost obligation to a plain formula
+                            // now, while its id is still valid (GC may
+                            // renumber the arena later).
+                            let psi = scratch.seeds[k];
+                            query.lost.insert(ArenaOps::resolve(&self.arena, psi));
+                            query.panics += 1;
+                            self.worker_panics += 1;
+                        }
+                    }
+                }
+                query.pending = pending;
             }
         }
     }
 
-    /// Pipelined stage execution over the shared sharded arena; pending ids
-    /// are remapped between the query-spanning arena and the worker arena at
-    /// the batch boundaries (structural re-interning — cheap, since both
-    /// arenas hash-cons). A query anchored mid-batch enters the pipeline at
-    /// the first segment of its boundary; identical pending formulas of
-    /// different queries solve once per segment (the pipeline's result cache
-    /// collapses the duplicate work items shift-normal pendings expose).
+    /// Pipelined stage execution over the shared sharded arena. Queries
+    /// with the same entry segment and pending set form one *class*, and
+    /// the pipeline progresses classes, not queries: every settled query of
+    /// a batch shares the class of its ⊤/⊥ set. Pending ids are remapped
+    /// between the query-spanning arena and the worker arena at the batch
+    /// boundaries (structural re-interning — cheap, since both arenas
+    /// hash-cons), once per distinct obligation in each direction. A query
+    /// anchored mid-batch enters the pipeline at the first segment of its
+    /// boundary; a query anchored after the batch is left out of it.
     fn process_pipelined(&mut self, batch: Vec<QueuedSegment>, workers: usize) {
         let segments: Vec<(DistributedComputation, u64)> =
             batch.into_iter().map(|s| (s.comp, s.next_anchor)).collect();
-        let entries: Vec<usize> = self
-            .queries
-            .iter()
-            .map(|q| {
-                segments
+        let mut class_of: Vec<Option<usize>> = Vec::with_capacity(self.queries.len());
+        // Per class: its entry segment and the first query holding it.
+        let mut classes: Vec<(usize, usize)> = Vec::new();
+        {
+            let mut index: FxHashMap<(usize, &BTreeSet<ShiftedId>), usize> = FxHashMap::default();
+            for (qi, query) in self.queries.iter().enumerate() {
+                let entry = segments
                     .iter()
-                    .position(|(comp, _)| comp.base_time() >= q.anchored_at)
-                    .unwrap_or(segments.len())
-            })
-            .collect();
-        let seeds: Vec<Vec<FormulaId>> = self
-            .queries
+                    .position(|(comp, _)| comp.base_time() >= query.anchored_at);
+                class_of.push(entry.map(|entry| {
+                    *index.entry((entry, &query.pending)).or_insert_with(|| {
+                        classes.push((entry, qi));
+                        classes.len() - 1
+                    })
+                }));
+            }
+        }
+        let mut to_worker: FxHashMap<ShiftedId, FormulaId> = FxHashMap::default();
+        let seeds: Vec<Vec<FormulaId>> = classes
             .iter()
-            .zip(&entries)
-            .map(|(q, &entry)| {
-                if entry >= segments.len() {
-                    // The query saw no segment of this batch: its pending set
-                    // passes through untouched, so nothing is re-interned
-                    // into the worker arena for it.
-                    return Vec::new();
-                }
-                q.pending
+            .map(|&(_, qi)| {
+                self.queries[qi]
+                    .pending
                     .iter()
                     .map(|&s| {
-                        self.shared
-                            .intern(&ArenaOps::resolve_shifted(&self.arena, s))
+                        *to_worker.entry(s).or_insert_with(|| {
+                            self.shared
+                                .intern(&ArenaOps::resolve_shifted(&self.arena, s))
+                        })
                     })
                     .collect()
             })
             .collect();
+        let entries: Vec<usize> = classes.iter().map(|&(entry, _)| entry).collect();
         let wall_timer = self.metrics.is_enabled().then(Stopwatch::start);
         let outcome = run_pipeline(
             &segments,
@@ -903,23 +971,38 @@ impl StreamMonitor {
         self.stats.absorb(&outcome.stats);
         // Resolve lost obligations out of the worker arena *now*: a GC epoch
         // at the end of this batch clears the worker arena wholesale.
-        for (qi, psi) in outcome.lost {
-            let phi = self.shared.resolve(psi);
-            self.queries[qi].lost.insert(phi);
-            self.queries[qi].panics += 1;
-            self.worker_panics += 1;
-        }
-        for ((query, out), entry) in self.queries.iter_mut().zip(outcome.outs).zip(&entries) {
-            if *entry >= segments.len() {
+        let lost: Vec<(usize, Formula)> = outcome
+            .lost
+            .into_iter()
+            .map(|(class, psi)| (class, self.shared.resolve(psi)))
+            .collect();
+        let mut to_query: FxHashMap<FormulaId, ShiftedId> = FxHashMap::default();
+        let outs: Vec<BTreeSet<ShiftedId>> = outcome
+            .outs
+            .into_iter()
+            .map(|out| {
+                out.into_iter()
+                    .map(|psi| {
+                        *to_query.entry(psi).or_insert_with(|| {
+                            let id = self.arena.intern(&self.shared.resolve(psi));
+                            ArenaOps::normalize(&self.arena, id)
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        for (query, class) in self.queries.iter_mut().zip(class_of) {
+            let Some(class) = class else {
                 continue; // The query saw no segment of this batch.
+            };
+            for (_, phi) in lost.iter().filter(|(c, _)| *c == class) {
+                query.lost.insert(phi.clone());
+                query.panics += 1;
+                self.worker_panics += 1;
             }
-            query.pending = out
-                .into_iter()
-                .map(|psi| {
-                    let id = self.arena.intern(&self.shared.resolve(psi));
-                    ArenaOps::normalize(&self.arena, id)
-                })
-                .collect();
+            if query.pending != outs[class] {
+                query.pending = outs[class].clone();
+            }
         }
     }
 
@@ -1179,6 +1262,7 @@ impl StreamMonitor {
             queue_depth_peak: 0,
             closed_at: HashMap::new(),
             metrics,
+            scratch: SegmentScratch::default(),
         })
     }
 }
@@ -1262,29 +1346,32 @@ mod tests {
     fn late_query_skips_queued_pre_registration_segments() {
         // With a deep flush buffer, segments closed *before* the late
         // registration are still queued when the query arrives; they must
-        // not be fed to it, on either execution path.
+        // not be fed to it, on either execution path. A late copy of an
+        // early query holds the same pending set when the queue drains but
+        // enters at a later segment, so the two must not share a solve.
         let run = |config: StreamConfig| {
             let mut monitor = StreamMonitor::new(1, 0, config);
             let q_early = monitor.add_query(&parse("G[0,inf) (a -> F[0,6) b)").unwrap());
+            let q_first = monitor.add_query(&parse("F[0,10) b").unwrap());
             for t in [1u64, 3, 5, 9] {
                 let label = if t % 2 == 1 { "a" } else { "b" };
                 monitor.observe(0, t, state![label]).unwrap();
             }
             let q_late = monitor.add_query(&parse("F[0,30) b").unwrap());
+            let q_copy = monitor.add_query(&parse("F[0,10) b").unwrap());
             for t in [11u64, 13, 15, 17, 19, 21] {
                 let label = if t == 15 { "b" } else { "a" };
                 monitor.observe(0, t, state![label]).unwrap();
             }
             let report = monitor.finish();
-            (
-                report.verdicts[q_early.index()].clone(),
-                report.verdicts[q_late.index()].clone(),
-            )
+            [q_early, q_late, q_first, q_copy].map(|q| report.verdicts[q.index()].clone())
         };
         let sequential = run(StreamConfig::new(3).flush_depth(64));
         let pipelined = run(StreamConfig::new(3).pipelined(Some(3)).flush_depth(64));
         assert_eq!(sequential, pipelined);
-        assert!(sequential.1.definitely_satisfied(), "{sequential:?}");
+        assert!(sequential[1].definitely_satisfied(), "{sequential:?}");
+        assert!(sequential[2].definitely_violated(), "{sequential:?}");
+        assert!(sequential[3].definitely_satisfied(), "{sequential:?}");
     }
 
     #[test]

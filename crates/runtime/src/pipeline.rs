@@ -1,8 +1,12 @@
 //! The pipelined segment-stage executor.
 //!
 //! A *batch* of consecutive closed segments is processed by a pool of scoped
-//! worker threads sharing one work queue. The unit of work is one `(query,
-//! segment, pending formula)` triple, but workers *drain and solve them in
+//! worker threads sharing one work queue. The pipeline progresses *classes*,
+//! not queries: the monitor groups the queries with the same entry segment
+//! and pending set into one class (every settled ⊤/⊥ query of a batch falls
+//! into a handful of them) and fans each class's result back to its
+//! members. The unit of work is one `(class, segment, pending formula)`
+//! triple, but workers *drain and solve them in
 //! same-segment batches*: a worker pops an item and takes every queued item
 //! of the same segment along with it (capped to a fair share under
 //! contention), then progresses the whole batch through **one**
@@ -12,23 +16,24 @@
 //! scratch stay warm across the batch. Each distinct rewritten formula is
 //! enqueued *immediately* as a work item for the next segment — segment
 //! `k + 1` starts progressing a formula as soon as stage `k` emits it, while
-//! other formulas (of any query) are still inside stage `k`. There is no barrier between stages; the only synchronisation
-//! points are the shared queue, the per-`(segment, query)` dedup sets that
-//! keep the pending *sets* identical to the sequential union semantics, the
-//! per-segment cache slots, and the output sets of the last segment of the
-//! batch. A query registered mid-stream enters the pipeline at its anchor
+//! other formulas (of any class) are still inside stage `k`. There is no
+//! barrier between stages; the only synchronisation points are the shared
+//! queue, the per-`(segment, class)` dedup sets that keep the pending *sets*
+//! identical to the sequential union semantics, the per-segment cache
+//! slots, and the output sets of the last segment of the batch. A class of
+//! queries registered mid-stream enters the pipeline at its anchor
 //! boundary's segment instead of stage 0.
 //!
 //! Two levels of cross-item sharing keep the per-item cost down:
 //!
 //! * **Per-segment result cache.** Work items are deduplicated per
-//!   `(segment, canonical pending formula)` *across queries*: when several
-//!   queries carry the same pending obligation (common once shift-normal
-//!   pendings collapse time-translates to shared canonical residuals), the
-//!   segment is solved once and the later items replay the cached result
-//!   set. Statistics are accounted once per distinct item: a replay (or the
-//!   loser of two workers racing the same item past the cache miss) adds
-//!   nothing.
+//!   `(segment, canonical pending formula)` *across classes*: when classes
+//!   with different pending sets share an obligation (common once
+//!   shift-normal pendings collapse time-translates to shared canonical
+//!   residuals), the segment is solved once and the later items replay the
+//!   cached result set. Statistics are accounted once per distinct item: a
+//!   replay (or the loser of two workers racing the same item past the
+//!   cache miss) adds nothing.
 //! * **Per-segment solver caches.** The solver's memo/feasibility/per-cut
 //!   caches ([`SegmentCaches`]) live in one slot per segment: a worker takes
 //!   the slot, continues from it, and merges it back, so consecutive work
@@ -65,9 +70,9 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One unit of work: progress `psi` (of `query`) over `segment`.
+/// One unit of work: progress `psi` (of `class`) over `segment`.
 struct Item {
-    query: usize,
+    class: usize,
     segment: usize,
     psi: FormulaId,
 }
@@ -77,42 +82,40 @@ struct PipelineState {
     ready: Condvar,
     /// Items queued or being processed; workers exit when it reaches zero.
     open: AtomicUsize,
-    /// Per-`(segment, query)` dedup: a formula is progressed through a
-    /// segment once per query, no matter how many stage-`k` branches emitted
+    /// Per-`(segment, class)` dedup: a formula is progressed through a
+    /// segment once per class, no matter how many stage-`k` branches emitted
     /// it.
     seen: Vec<Vec<Mutex<BTreeSet<FormulaId>>>>,
-    /// Per-segment cross-query result cache: pending formula → rewritten
-    /// set. The second and later queries carrying the same pending formula
-    /// replay the first query's solve.
+    /// Per-segment cross-class result cache: pending formula → rewritten
+    /// set. The second and later classes carrying the same pending formula
+    /// replay the first one's solve.
     results: Vec<Mutex<FxHashMap<FormulaId, BTreeSet<FormulaId>>>>,
     /// Per-segment solver caches, passed from work item to work item.
     caches: Vec<Mutex<Option<SegmentCaches>>>,
-    /// Per-query pending set leaving the batch's last segment.
+    /// Per-class pending set leaving the batch's last segment.
     outs: Vec<Mutex<BTreeSet<FormulaId>>>,
     stats: Mutex<SolverStats>,
-    /// `(query, pending formula)` pairs whose solve panicked: the item's
-    /// obligation is lost, its rewrites are never fanned out, and the
-    /// affected query must be reported as degraded.
+    /// `(class, pending formula)` pairs whose solve panicked: the item's
+    /// obligation is lost, its rewrites are never fanned out, and every
+    /// query of the class must be reported as degraded.
     lost: Mutex<Vec<(usize, FormulaId)>>,
 }
 
-/// What a pipeline batch produced: per-query pending sets leaving the last
+/// What a pipeline batch produced: per-class pending sets leaving the last
 /// segment, aggregated solver statistics, and the work items lost to panics.
 pub(crate) struct PipelineOutcome {
     pub(crate) outs: Vec<BTreeSet<FormulaId>>,
     pub(crate) stats: SolverStats,
-    /// Obligations whose solve panicked, one `(query, pending formula)` pair
+    /// Obligations whose solve panicked, one `(class, pending formula)` pair
     /// per lost item. Empty on a healthy run.
     pub(crate) lost: Vec<(usize, FormulaId)>,
 }
 
-/// Runs `seeds` (per-query pending formulas, interned in `shared`) through
+/// Runs `seeds` (per-class pending formulas, interned in `shared`) through
 /// the pipeline of `segments` (each with its residual anchor) on `workers`
-/// threads. `entries[q]` is the segment index at which query `q` enters the
-/// pipeline (`segments.len()` for a query that saw no segment of this batch —
-/// its output set is its seed set, returned untouched). Returns the
-/// per-query pending sets after the last segment, the aggregated solver
-/// statistics, and any work items lost to panics.
+/// threads. `entries[c]` is the segment index at which class `c` enters the
+/// pipeline. Returns the per-class pending sets after the last segment, the
+/// aggregated solver statistics, and any work items lost to panics.
 pub(crate) fn run_pipeline(
     segments: &[(DistributedComputation, u64)],
     seeds: &[Vec<FormulaId>],
@@ -123,7 +126,7 @@ pub(crate) fn run_pipeline(
     telemetry: &PipelineTelemetry,
 ) -> PipelineOutcome {
     assert!(!segments.is_empty(), "a pipeline batch needs segments");
-    assert_eq!(seeds.len(), entries.len(), "one entry stage per query");
+    assert_eq!(seeds.len(), entries.len(), "one entry stage per class");
     let state = PipelineState {
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
@@ -147,20 +150,13 @@ pub(crate) fn run_pipeline(
     };
     {
         let mut queue = lock_recover(&state.queue);
-        for (query, pending) in seeds.iter().enumerate() {
-            let entry = entries[query];
-            if entry >= segments.len() {
-                // The query entered after every segment of this batch: its
-                // pending set passes through unchanged.
-                lock_recover(&state.outs[query]).extend(pending.iter().copied());
-                continue;
-            }
-            let mut seen = lock_recover(&state.seen[entry][query]);
+        for (class, (pending, &entry)) in seeds.iter().zip(entries).enumerate() {
+            let mut seen = lock_recover(&state.seen[entry][class]);
             for &psi in pending {
                 if seen.insert(psi) {
                     state.open.fetch_add(1, Ordering::AcqRel);
                     queue.push_back(Item {
-                        query,
+                        class,
                         segment: entry,
                         psi,
                     });
@@ -239,8 +235,8 @@ fn pop_batch(state: &PipelineState, workers: usize) -> Option<Vec<Item>> {
 /// [`SegmentSolver`]: the segment's cache slot is taken once, every item of
 /// the batch progresses through the warm solver (frames, probe scratch and
 /// memo stay hot), and the caches are merged back once — instead of one
-/// take/solve/merge round-trip per `(query, segment, formula)` item. Items
-/// whose pending formula was already solved by another query replay the
+/// take/solve/merge round-trip per `(class, segment, formula)` item. Items
+/// whose pending formula was already solved for another class replay the
 /// per-segment result cache without touching the solver.
 ///
 /// Returns one outcome per item, in order: `Some(rewrites)` or `None` for an
@@ -289,8 +285,8 @@ fn solve_batch(
                 outcomes.push(Some(cached.clone()));
                 continue;
             }
-            // Isolate the solve: a panicking query loses this one item while
-            // every other item — including the same query's siblings —
+            // Isolate the solve: a panicking class loses this one item while
+            // every other item — including the same class's siblings —
             // proceeds untouched.
             let timer = telemetry.work_item.is_enabled().then(Stopwatch::start);
             let solved = catch_unwind(AssertUnwindSafe(|| solver.progress(item.psi)));
@@ -361,7 +357,7 @@ fn worker(
 
         for (item, outcome) in batch.iter().zip(outcomes) {
             let Some(formulas) = outcome else {
-                lock_recover(&state.lost).push((item.query, item.psi));
+                lock_recover(&state.lost).push((item.class, item.psi));
                 if state.open.fetch_sub(1, Ordering::AcqRel) == 1 {
                     state.ready.notify_all();
                 }
@@ -372,7 +368,7 @@ fn worker(
             if next_segment < segments.len() {
                 // Hand each fresh rewrite to the next stage immediately.
                 let fresh: Vec<FormulaId> = {
-                    let mut seen = lock_recover(&state.seen[next_segment][item.query]);
+                    let mut seen = lock_recover(&state.seen[next_segment][item.class]);
                     formulas
                         .into_iter()
                         .filter(|&psi| seen.insert(psi))
@@ -383,7 +379,7 @@ fn worker(
                     for psi in fresh {
                         state.open.fetch_add(1, Ordering::AcqRel);
                         queue.push_back(Item {
-                            query: item.query,
+                            class: item.class,
                             segment: next_segment,
                             psi,
                         });
@@ -392,7 +388,7 @@ fn worker(
                     state.ready.notify_all();
                 }
             } else {
-                lock_recover(&state.outs[item.query]).extend(formulas);
+                lock_recover(&state.outs[item.class]).extend(formulas);
             }
 
             if state.open.fetch_sub(1, Ordering::AcqRel) == 1 {

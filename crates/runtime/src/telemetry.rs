@@ -38,8 +38,11 @@ pub(crate) struct RuntimeMetrics {
     pub(crate) gc_pause: Histogram,
     /// Checkpoint serialize + write + fsync time (ns).
     pub(crate) checkpoint_write: Histogram,
-    /// Wall time of one `(query, segment, pending formula)` work item (ns),
-    /// recorded on both execution paths.
+    /// Wall time of one solve (ns): one sample per distinct obligation
+    /// progressed through a segment — per distinct pending formula on the
+    /// sequential path, per distinct `(segment, formula)` item on the
+    /// pipelined one (result-cache replays record nothing). Queries that
+    /// share an obligation, settled ones included, share its sample.
     pub(crate) work_item: Histogram,
     /// Wall time of one same-segment *batch* of work items drained by a
     /// pipeline worker and solved through a single solver instance (ns) —
@@ -101,7 +104,7 @@ impl RuntimeMetrics {
 /// The pipeline executor's slice of the panel (handed into
 /// [`crate::pipeline::run_pipeline`]; all no-ops when telemetry is off).
 pub(crate) struct PipelineTelemetry {
-    /// Per-work-item wall time (ns).
+    /// Per-solve wall time (ns), one sample per distinct obligation.
     pub(crate) work_item: Histogram,
     /// Per same-segment batch wall time (ns).
     pub(crate) segment_batch: Histogram,

@@ -207,6 +207,62 @@ fn degraded_integrity_survives_a_restart() {
     assert_eq!(report.verdicts, reference.verdicts);
 }
 
+#[test]
+fn restore_after_heartbeats_passed_the_last_event() {
+    // Heartbeats carry the watermark, and with it the open segment's base,
+    // past the newest event. A snapshot taken there must restore, and the
+    // restored monitor must continue the stream exactly.
+    // (process, time, event label or `None` for a heartbeat)
+    let head = [
+        (0, 1, Some("a")),
+        (1, 2, Some("b")),
+        (0, 50, None),
+        (1, 50, None),
+    ];
+    let tail = [
+        (0, 51, Some("a")),
+        (1, 53, Some("b")),
+        (0, 56, Some("a")),
+        (1, 70, None),
+        (0, 71, Some("b")),
+    ];
+    let feed = |monitor: &mut StreamMonitor, steps: &[(usize, u64, Option<&str>)]| {
+        for &(process, time, label) in steps {
+            match label {
+                Some(label) => monitor.observe(process, time, state![label]),
+                None => monitor.heartbeat(process, time),
+            }
+            .unwrap_or_else(|err| panic!("({process}, {time}) must be accepted: {err}"));
+        }
+    };
+    for (name, config) in configs() {
+        let fresh = || {
+            let mut monitor = StreamMonitor::new(2, 1, config.clone());
+            for phi in &queries() {
+                monitor.add_query(phi);
+            }
+            monitor
+        };
+        let mut reference = fresh();
+        feed(&mut reference, &head);
+        feed(&mut reference, &tail);
+        let reference = reference.finish();
+
+        let mut monitor = fresh();
+        feed(&mut monitor, &head);
+        assert!(monitor.segments_processed() > 0, "[{name}]");
+        let bytes = monitor.checkpoint_bytes();
+        let mut restored = StreamMonitor::restore_from_bytes(&bytes, config.clone())
+            .unwrap_or_else(|err| panic!("[{name}] the snapshot must restore: {err}"));
+        feed(&mut restored, &tail);
+        let report = restored.finish();
+        assert_eq!(report.verdicts, reference.verdicts, "[{name}]");
+        assert_eq!(report.pending, reference.pending, "[{name}]");
+        assert_eq!(report.integrity, reference.integrity, "[{name}]");
+        assert_eq!(report.segments, reference.segments, "[{name}]");
+    }
+}
+
 /// A small but non-trivial snapshot: mid-stream, shift-normal pendings,
 /// non-empty segmenter buffers.
 fn small_snapshot(config: &StreamConfig) -> Vec<u8> {

@@ -304,3 +304,184 @@ fn delayed_window_streaming_equals_batch() {
     ];
     assert_stream_equals_batch(&comp, &formulas, "delayed windows");
 }
+
+/// One step of a stream: an event of `process` at `time`, or a heartbeat
+/// when `state` is `None`.
+struct Step {
+    process: usize,
+    time: u64,
+    state: Option<rvmtl_mtl::State>,
+}
+
+fn feed(monitor: &mut StreamMonitor, step: &Step) {
+    match &step.state {
+        Some(state) => monitor.observe(step.process, step.time, state.clone()),
+        None => monitor.heartbeat(step.process, step.time),
+    }
+    .unwrap_or_else(|err| panic!("({}, {}) must be accepted: {err}", step.process, step.time));
+}
+
+/// Back-to-back two-party swap sessions, each shifted past the previous one,
+/// with a heartbeat round after every session and a long heartbeat tail.
+/// Returns the process count, the steps, and the step index at which each
+/// session starts.
+fn back_to_back_swaps() -> (usize, Vec<Step>, Vec<usize>) {
+    let driver = TwoPartySwap::new(DELTA);
+    let mut late = [StepChoice::on_time(); 6];
+    late[3] = StepChoice::late();
+    let sessions = [
+        TwoPartyScenario::conforming(),
+        TwoPartyScenario { steps: late },
+        TwoPartyScenario::conforming(),
+    ];
+    let mut steps = Vec::new();
+    let mut starts = Vec::new();
+    let mut offset = 0;
+    let mut processes = 0;
+    for scenario in &sessions {
+        let comp = driver.execute(scenario).to_computation(EPSILON);
+        processes = comp.process_count();
+        starts.push(steps.len());
+        for e in rvmtl_runtime::StreamEvent::schedule_of(&comp) {
+            steps.push(Step {
+                process: e.process,
+                time: offset + e.time,
+                state: Some(e.state),
+            });
+        }
+        offset += comp.duration() + 2 * DELTA;
+        for process in 0..processes {
+            steps.push(Step {
+                process,
+                time: offset - DELTA,
+                state: None,
+            });
+        }
+    }
+    for round in 1..=20 {
+        for process in 0..processes {
+            steps.push(Step {
+                process,
+                time: offset + round * DELTA,
+                state: None,
+            });
+        }
+    }
+    (processes, steps, starts)
+}
+
+/// Runs `steps`, registering each `(step index, formula)` query right before
+/// that step, and returns each query's verdicts, pending set and integrity,
+/// in the order of `registrations`.
+fn tenant_run(
+    processes: usize,
+    steps: &[Step],
+    registrations: &[(usize, Formula)],
+    config: StreamConfig,
+) -> Vec<(
+    rvmtl_monitor::VerdictSet,
+    std::collections::BTreeSet<Formula>,
+    rvmtl_runtime::Integrity,
+)> {
+    let mut monitor = StreamMonitor::new(processes, EPSILON, config);
+    let mut ids = vec![None; registrations.len()];
+    for (index, step) in steps.iter().enumerate() {
+        for (id, (at, phi)) in ids.iter_mut().zip(registrations) {
+            if *at == index {
+                *id = Some(monitor.add_query(phi));
+            }
+        }
+        feed(&mut monitor, step);
+    }
+    let report = monitor.finish();
+    ids.into_iter()
+        .map(|q| q.expect("every registration point is a step of the stream"))
+        .map(|q| {
+            (
+                report.verdicts[q.index()].clone(),
+                report.pending[q.index()].clone(),
+                report.integrity[q.index()],
+            )
+        })
+        .collect()
+}
+
+/// Many tenants, few distinct obligations: K copies of each Fig. 6 spec,
+/// registered at several points of the stream (mid-stream `add_query`), so
+/// early copies settle while many segments follow. Every query must end
+/// exactly as a monitor running it alone from the same registration point,
+/// on the sequential and the pipelined path.
+#[test]
+fn multi_tenant_copies_equal_solo_runs() {
+    const COPIES: usize = 3;
+    let (processes, steps, starts) = back_to_back_swaps();
+    let specs = [
+        specs::two_party::liveness(DELTA),
+        specs::two_party::alice_conform(DELTA),
+        specs::two_party::bob_conform(DELTA),
+    ];
+    // Registration points: the start and the middle of every session, and
+    // the heartbeat tail (with flush depth 4 some land mid-batch).
+    let mut points = starts.clone();
+    points.extend(starts.windows(2).map(|pair| (pair[0] + pair[1]) / 2));
+    points.push(steps.len() - 30);
+    let mut registrations = Vec::new();
+    for &start in &points {
+        for _ in 0..COPIES {
+            for phi in &specs {
+                registrations.push((start, phi.clone()));
+            }
+        }
+    }
+    let length = 25;
+    let solo: Vec<_> = registrations
+        .iter()
+        .map(|registration| {
+            let alone = std::slice::from_ref(registration);
+            tenant_run(processes, &steps, alone, StreamConfig::new(length)).remove(0)
+        })
+        .collect();
+    assert!(
+        solo.iter()
+            .any(|(_, pending, _)| pending.iter().all(Formula::is_constant)),
+        "some copies must settle before the stream ends"
+    );
+    for (name, config) in [
+        ("sequential", StreamConfig::new(length)),
+        (
+            "pipelined",
+            StreamConfig::new(length).pipelined(Some(3)).flush_depth(4),
+        ),
+    ] {
+        let together = tenant_run(processes, &steps, &registrations, config);
+        assert_eq!(together.len(), solo.len());
+        for (q, (got, want)) in together.iter().zip(&solo).enumerate() {
+            assert_eq!(got, want, "[{name}] query {q}");
+        }
+    }
+}
+
+/// Identical queries solve as one: on the sequential path, K copies of a
+/// query cost exactly the solver work of one copy.
+#[test]
+fn identical_queries_cost_one_query() {
+    let comp = TwoPartySwap::new(DELTA)
+        .execute(&TwoPartyScenario::conforming())
+        .to_computation(EPSILON);
+    let phi = specs::two_party::liveness(DELTA);
+    let stats = |copies: usize| {
+        let mut monitor = StreamMonitor::new(comp.process_count(), EPSILON, StreamConfig::new(25));
+        for _ in 0..copies {
+            monitor.add_query(&phi);
+        }
+        for e in rvmtl_runtime::StreamEvent::schedule_of(&comp) {
+            monitor.observe(e.process, e.time, e.state).unwrap();
+        }
+        monitor.finish().stats
+    };
+    let one = stats(1);
+    assert!(one.explored_states > 0);
+    for copies in [2, 5] {
+        assert_eq!(stats(copies), one, "{copies} copies");
+    }
+}

@@ -188,6 +188,8 @@ fn panic_is_isolated_to_its_query() {
     // entry (the `test-panic` feature, enabled by this crate's
     // dev-dependencies). The panicking query must lose exactly its own
     // obligation; its neighbour must verdict exactly as if monitored alone.
+    // With two queries holding the same obligation, it is solved once but
+    // lost for both: each counts its own panic.
     let clean = alternating_events(30);
     let normal = parse("G[0,inf) (a -> F[0,4) b)").unwrap();
     let poison = Formula::atom("__panic__");
@@ -200,30 +202,36 @@ fn panic_is_isolated_to_its_query() {
         ),
     ] {
         let reference = run_accepting(&clean, std::slice::from_ref(&normal), 2, 1, config.clone());
-        let report = run_accepting(&clean, &[normal.clone(), poison.clone()], 2, 1, config);
-        assert_eq!(
-            report.health.worker_panics, 1,
-            "[{name}] exactly one obligation panics (then has nothing left to progress)"
-        );
-        assert_eq!(
-            report.verdicts[0], reference.verdicts[0],
-            "[{name}] the healthy query must be untouched"
-        );
-        assert!(
-            report.integrity[0].is_exact(),
-            "[{name}] the healthy query stays exact: {}",
-            report.integrity[0]
-        );
-        assert_eq!(
-            report.integrity[1],
-            Integrity::from_counters(0, 0, 0, 1),
-            "[{name}]"
-        );
-        assert_eq!(
-            report.verdicts[1].pending_formulas(),
-            vec![&poison],
-            "[{name}] the lost obligation is reported inconclusive"
-        );
+        for poisoned in [1, 2] {
+            let mut formulas = vec![normal.clone()];
+            formulas.extend(std::iter::repeat_n(poison.clone(), poisoned));
+            let report = run_accepting(&clean, &formulas, 2, 1, config.clone());
+            assert_eq!(
+                report.health.worker_panics, poisoned as u64,
+                "[{name}/{poisoned}] one panic per poisoned query (then nothing is left to progress)"
+            );
+            assert_eq!(
+                report.verdicts[0], reference.verdicts[0],
+                "[{name}/{poisoned}] the healthy query must be untouched"
+            );
+            assert!(
+                report.integrity[0].is_exact(),
+                "[{name}/{poisoned}] the healthy query stays exact: {}",
+                report.integrity[0]
+            );
+            for q in 1..=poisoned {
+                assert_eq!(
+                    report.integrity[q],
+                    Integrity::from_counters(0, 0, 0, 1),
+                    "[{name}/{poisoned}] query {q}"
+                );
+                assert_eq!(
+                    report.verdicts[q].pending_formulas(),
+                    vec![&poison],
+                    "[{name}/{poisoned}] query {q}: the lost obligation is reported inconclusive"
+                );
+            }
+        }
     }
 }
 
