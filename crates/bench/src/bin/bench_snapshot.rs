@@ -44,14 +44,6 @@
 //! scenario captures its delivered schedule to a `.rvw` file and replays it
 //! through `rvmtl-wire`, and the process exits non-zero if any replayed run
 //! diverges from direct in-memory ingestion (the CI wire smoke).
-//!
-//! `--abtest` runs the solver-engine A/B comparison: the retained reference
-//! recursion against the default work-stack engine on the `until_eps16` and
-//! `always_eps16` shift-free fixtures, in *interleaved* rounds (reference
-//! then work-stack within every round, so frequency scaling and scheduler
-//! drift land on both engines equally — the honest protocol on a one-core
-//! container) reporting min/median ns-per-state per engine and the speedup
-//! ratio. The repository keeps its output in `BENCH_9.json`.
 
 use rvmtl_bench::{
     blockchain_workloads, default_trace_config, formula, pins, sweep_monitor, sweep_points,
@@ -301,118 +293,8 @@ fn run_scrape_check(path: &str) -> ! {
     std::process::exit(0);
 }
 
-/// `--abtest`: interleaved A/B comparison of the two solver exploration
-/// engines on the shift-free saturation fixtures. Both engines execute the
-/// identical search (asserted on verdicts and explored-state counts before
-/// any timing), so ns-per-state is the only axis that can differ; rounds are
-/// interleaved so slow host-level drift cancels out of the comparison.
-fn run_abtest() -> ! {
-    use rvmtl_solver::ExploreEngine;
-    const ROUNDS: usize = 9;
-    const FIXTURES: [&str; 2] = ["until_eps16", "always_eps16"];
-    let engine_monitor = |segments: usize, engine: ExploreEngine| {
-        Monitor::new(if segments <= 1 {
-            MonitorConfig::unsegmented().engine(engine)
-        } else {
-            MonitorConfig::with_segments(segments).engine(engine)
-        })
-    };
-    let mut rows = Vec::new();
-    for (name, comp, phi, segments) in rvmtl_bench::shift_free_workloads() {
-        if !FIXTURES.contains(&name) {
-            continue;
-        }
-        let reference = engine_monitor(segments, ExploreEngine::Reference);
-        let work_stack = engine_monitor(segments, ExploreEngine::WorkStack);
-        // Equality gate before any clock starts: a timing comparison between
-        // engines that explore different searches would be meaningless.
-        let ref_report = reference.run(&comp, &phi);
-        let ws_report = work_stack.run(&comp, &phi);
-        assert_eq!(
-            ref_report.verdicts, ws_report.verdicts,
-            "{name}: engines disagree on verdicts"
-        );
-        assert_eq!(
-            ref_report.explored_states(),
-            ws_report.explored_states(),
-            "{name}: engines disagree on explored states"
-        );
-        let states = ws_report.explored_states();
-        // Calibrate the block size on the reference (slower) engine so both
-        // engines run identical iteration counts per round.
-        let started = Instant::now();
-        let _ = reference.run(&comp, &phi);
-        let once = started.elapsed().as_secs_f64().max(1e-7);
-        let iters = ((0.02 / once) as usize).clamp(1, 10_000);
-        let mut ref_ns: Vec<f64> = Vec::with_capacity(ROUNDS);
-        let mut ws_ns: Vec<f64> = Vec::with_capacity(ROUNDS);
-        for _ in 0..ROUNDS {
-            for (times, monitor) in [(&mut ref_ns, &reference), (&mut ws_ns, &work_stack)] {
-                let started = Instant::now();
-                for _ in 0..iters {
-                    let _ = monitor.run(&comp, &phi);
-                }
-                let secs = started.elapsed().as_secs_f64() / iters as f64;
-                times.push(secs * 1e9 / states as f64);
-            }
-        }
-        ref_ns.sort_by(f64::total_cmp);
-        ws_ns.sort_by(f64::total_cmp);
-        let (ref_min, ref_med) = (ref_ns[0], ref_ns[ROUNDS / 2]);
-        let (ws_min, ws_med) = (ws_ns[0], ws_ns[ROUNDS / 2]);
-        rows.push(format!(
-            concat!(
-                "    {{\"fixture\": \"{}\", \"explored_states\": {}, ",
-                "\"iters_per_round\": {}, ",
-                "\"reference_ns_per_state\": {{\"min\": {:.1}, \"median\": {:.1}}}, ",
-                "\"work_stack_ns_per_state\": {{\"min\": {:.1}, \"median\": {:.1}}}, ",
-                "\"speedup_min\": {:.3}, \"speedup_median\": {:.3}}}"
-            ),
-            name,
-            states,
-            iters,
-            ref_min,
-            ref_med,
-            ws_min,
-            ws_med,
-            ref_min / ws_min,
-            ref_med / ws_med,
-        ));
-        eprintln!(
-            concat!(
-                "[bench] abtest {}: reference {:.1}/{:.1} ns/state (min/median), ",
-                "work_stack {:.1}/{:.1} ns/state, speedup x{:.2} (min) x{:.2} (median)"
-            ),
-            name,
-            ref_min,
-            ref_med,
-            ws_min,
-            ws_med,
-            ref_min / ws_min,
-            ref_med / ws_med,
-        );
-    }
-    println!("{{");
-    println!("  \"mode\": \"abtest\",");
-    println!("  \"rounds\": {ROUNDS},");
-    println!(
-        "  \"available_parallelism\": {},",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    println!("  \"series\": [");
-    println!("{}", rows.join(",\n"));
-    println!("  ]");
-    println!("}}");
-    std::process::exit(0);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--abtest") {
-        run_abtest();
-    }
     if args.iter().any(|a| a == "--check") {
         run_check(&path_after(&args, "--check"));
     }

@@ -43,12 +43,19 @@ pub fn segment(
     mode: SegmentationMode,
 ) -> Vec<DistributedComputation> {
     assert!(segments > 0, "segment count must be at least 1");
+    segment_at_boundaries(comp, &fence_posts(comp, segments), mode)
+}
+
+/// The `segments + 1` evenly spaced fence posts of `comp`, the `j`-th at
+/// `base + ⌊j · duration / segments⌋`. The product is taken in `u128`, where
+/// it cannot overflow; the quotient is at most the duration, so every post
+/// lies between the base time and the last local time.
+fn fence_posts(comp: &DistributedComputation, segments: usize) -> Vec<u64> {
     let base = comp.base_time();
-    let length = comp.duration();
-    let boundaries: Vec<u64> = (0..=segments as u64)
-        .map(|j| base + (j * length) / segments as u64)
-        .collect();
-    segment_at_boundaries(comp, &boundaries, mode)
+    let duration = u128::from(comp.duration());
+    (0..=segments)
+        .map(|j| base + (j as u128 * duration / segments as u128) as u64)
+        .collect()
 }
 
 /// Splits `comp` at an explicit, non-decreasing list of boundary points.
@@ -157,12 +164,9 @@ pub fn segments_for_frequency(duration: u64, per_time_unit: f64) -> usize {
 /// unresolved across segments.
 pub fn boundary_events(comp: &DistributedComputation, segments: usize) -> Vec<EventId> {
     assert!(segments > 0, "segment count must be at least 1");
-    let base = comp.base_time();
-    let length = comp.duration();
     let eps = comp.epsilon();
-    let boundaries: Vec<u64> = (1..segments as u64)
-        .map(|j| base + (j * length) / segments as u64)
-        .collect();
+    let posts = fence_posts(comp, segments);
+    let boundaries = &posts[1..segments];
     (0..comp.event_count())
         .map(EventId)
         .filter(|&id| {

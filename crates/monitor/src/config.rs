@@ -1,7 +1,6 @@
 //! Monitor configuration.
 
 use rvmtl_distrib::SegmentationMode;
-use rvmtl_solver::ExploreEngine;
 
 /// How a computation is chopped into segments before monitoring (Sec. V-C).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -35,17 +34,10 @@ pub struct MonitorConfig {
     pub segmentation: Segmentation,
     /// Boundary-attribution mode for segments.
     pub mode: SegmentationMode,
-    /// Evaluate the pending formulas of a segment on parallel threads.
-    pub parallel: bool,
     /// Upper bound on the number of distinct rewritten formulas kept per
     /// pending formula per segment (`None` = unbounded). Mirrors the paper's
     /// bounded number of solver solutions per segment (Fig. 5e).
     pub max_solutions_per_segment: Option<usize>,
-    /// Which solver exploration engine runs the per-segment searches. Both
-    /// engines produce identical verdicts and statistics
-    /// ([`ExploreEngine::Reference`] exists as the differential baseline and
-    /// A/B comparison point); the default work-stack engine is the fast one.
-    pub engine: ExploreEngine,
 }
 
 impl Default for MonitorConfig {
@@ -53,9 +45,7 @@ impl Default for MonitorConfig {
         MonitorConfig {
             segmentation: Segmentation::None,
             mode: SegmentationMode::Disjoint,
-            parallel: false,
             max_solutions_per_segment: None,
-            engine: ExploreEngine::default(),
         }
     }
 }
@@ -83,12 +73,6 @@ impl MonitorConfig {
         }
     }
 
-    /// Enables parallel evaluation of pending formulas within a segment.
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        self.parallel = enabled;
-        self
-    }
-
     /// Uses the paper's overlapping segment windows instead of the default
     /// disjoint partition.
     pub fn overlap(mut self) -> Self {
@@ -102,21 +86,14 @@ impl MonitorConfig {
     ///
     /// Panics if `limit` is 0 — the monitor must keep at least one rewritten
     /// formula per segment to stay sound (same contract as
-    /// `ProgressionQuery::with_limit` and `OnlineMonitor::with_limit`; a zero
-    /// limit used to be silently clamped to 1, which masked caller bugs).
+    /// `ProgressionQuery::with_limit`; a zero limit used to be silently
+    /// clamped to 1, which masked caller bugs).
     pub fn max_solutions(mut self, limit: usize) -> Self {
         assert!(
             limit > 0,
             "MonitorConfig::max_solutions: the solution limit must be at least 1"
         );
         self.max_solutions_per_segment = Some(limit);
-        self
-    }
-
-    /// Selects the solver exploration engine (default:
-    /// [`ExploreEngine::WorkStack`]).
-    pub fn engine(mut self, engine: ExploreEngine) -> Self {
-        self.engine = engine;
         self
     }
 }
@@ -136,11 +113,8 @@ mod tests {
 
     #[test]
     fn builder_style_config() {
-        let cfg = MonitorConfig::with_segments(4)
-            .parallel(true)
-            .max_solutions(3);
+        let cfg = MonitorConfig::with_segments(4).max_solutions(3);
         assert_eq!(cfg.segmentation, Segmentation::Count(4));
-        assert!(cfg.parallel);
         assert_eq!(cfg.max_solutions_per_segment, Some(3));
         let overlap = MonitorConfig::with_frequency(2.0).overlap();
         assert_eq!(overlap.mode, SegmentationMode::Overlap);

@@ -12,8 +12,8 @@
 //! yielding the verdict set `[(E, ⇝) ⊨F φ]` of Sec. III.
 //!
 //! * [`Monitor`] / [`MonitorConfig`] — batch monitoring of a complete
-//!   computation with configurable segmentation and parallelism;
-//! * [`OnlineMonitor`] — incremental monitoring, one segment at a time;
+//!   computation with configurable segmentation and solution bound (online
+//!   monitoring of a live stream is `rvmtl-runtime`'s `StreamMonitor`);
 //! * [`VerdictSet`] / [`Verdict`] — the (possibly ambiguous) outcome;
 //! * [`naive_verdicts`] — the explicit-enumeration baseline.
 //!
@@ -45,10 +45,9 @@
 mod baseline;
 mod config;
 mod monitor;
-mod par;
 mod verdict;
 
 pub use baseline::{naive_verdicts, naive_verdicts_bounded};
 pub use config::{MonitorConfig, Segmentation};
-pub use monitor::{Monitor, MonitorReport, OnlineMonitor, SegmentReport};
+pub use monitor::{Monitor, MonitorReport, SegmentReport};
 pub use verdict::{Integrity, Verdict, VerdictSet};

@@ -4,8 +4,8 @@
 
 use crate::{Integrity, MonitorConfig, VerdictSet};
 use rvmtl_distrib::{segment, DistributedComputation};
-use rvmtl_mtl::{ArenaOps, Formula, FormulaId, Interner, ShardedInterner, ShiftedId};
-use rvmtl_solver::{ExploreEngine, SegmentSolver, SolverStats};
+use rvmtl_mtl::{ArenaOps, Formula, FormulaId, Interner, ShiftedId};
+use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -56,264 +56,9 @@ impl MonitorReport {
     }
 }
 
-/// The query-spanning formula arena of an [`OnlineMonitor`]: an exclusive
-/// [`Interner`] in sequential mode, a [`ShardedInterner`] shared by the
-/// worker threads in parallel mode. Both implement
-/// [`rvmtl_mtl::ArenaOps`], so one [`SegmentSolver`] code path serves both.
-#[derive(Debug, Clone)]
-enum QueryArena {
-    Plain(Box<Interner>),
-    Sharded(ShardedInterner),
-}
-
-impl QueryArena {
-    fn intern(&mut self, phi: &Formula) -> FormulaId {
-        match self {
-            QueryArena::Plain(interner) => interner.intern(phi),
-            QueryArena::Sharded(arena) => arena.intern(phi),
-        }
-    }
-
-    /// Shift-normal decomposition of an id (see [`ArenaOps::normalize`]).
-    fn normalize(&self, id: FormulaId) -> ShiftedId {
-        match self {
-            QueryArena::Plain(interner) => ArenaOps::normalize(&**interner, id),
-            QueryArena::Sharded(arena) => ArenaOps::normalize(arena, id),
-        }
-    }
-
-    /// Resolves a shift-normal pending obligation to a plain formula tree
-    /// without materialising the translated node.
-    fn resolve_shifted(&self, s: ShiftedId) -> Formula {
-        match self {
-            QueryArena::Plain(interner) => ArenaOps::resolve_shifted(&**interner, s),
-            QueryArena::Sharded(arena) => ArenaOps::resolve_shifted(arena, s),
-        }
-    }
-
-    /// Empty-future verdict of a shift-normal pending obligation. Resolves
-    /// through the shift for free: translation changes interval anchors, not
-    /// operator kinds, and `eval_empty` only looks at the kinds — so the
-    /// canonical residual's verdict is the obligation's.
-    fn eval_empty_shifted(&self, s: ShiftedId) -> bool {
-        match self {
-            QueryArena::Plain(interner) => interner.eval_empty(s.id),
-            QueryArena::Sharded(arena) => arena.eval_empty(s.id),
-        }
-    }
-}
-
-/// An online monitor: feed segments as they are observed, query the verdicts
-/// so far, and close the monitor when the computation ends.
-///
-/// The pending formulas are always anchored at the base time of the next
-/// expected segment.
-///
-/// # Query-spanning formula arena
-///
-/// The monitor owns a single arena for its whole lifetime: the pending set is
-/// a set of [`FormulaId`]s, every segment is progressed through
-/// [`SegmentSolver`]s over that arena, and the stable parts of the
-/// specification are interned exactly once instead of once per segment per
-/// pending formula. Final verdicts are computed directly on the ids — no
-/// formula tree or empty trace is materialised.
-///
-/// In sequential mode the arena is an exclusive [`Interner`] and all pending
-/// formulas of a segment share one solver (memo table and per-cut caches
-/// included). In parallel mode ([`OnlineMonitor::parallel`]) the arena is a
-/// [`ShardedInterner`]: worker threads progress the pending formulas
-/// concurrently through shared handles, interning and hitting the arena's
-/// progression caches in place — the query-spanning arena is shared, not
-/// rebuilt per formula (per-*segment* solver memo tables stay worker-local).
-#[derive(Debug, Clone)]
-pub struct OnlineMonitor {
-    /// The arena every pending formula lives in, alive across segments.
-    arena: QueryArena,
-    /// Pending obligations in shift-normal form: two obligations that are
-    /// exact time-translates of each other share one arena node and differ
-    /// only in the shift word of their [`ShiftedId`].
-    pending: BTreeSet<ShiftedId>,
-    limit: Option<usize>,
-    stats: SolverStats,
-    engine: ExploreEngine,
-}
-
-impl OnlineMonitor {
-    /// Starts monitoring `phi` (anchored at the base time of the first
-    /// segment that will be observed).
-    pub fn new(phi: Formula) -> Self {
-        let mut arena = QueryArena::Plain(Box::new(Interner::new()));
-        let root = arena.intern(&phi);
-        let root = arena.normalize(root);
-        OnlineMonitor {
-            arena,
-            pending: BTreeSet::from([root]),
-            limit: None,
-            stats: SolverStats::default(),
-            engine: ExploreEngine::default(),
-        }
-    }
-
-    /// Enables (or disables) parallel evaluation of pending formulas,
-    /// switching the query arena between its exclusive and its sharded
-    /// representation (pending obligations are carried over).
-    pub fn parallel(mut self, enabled: bool) -> Self {
-        let already = matches!(self.arena, QueryArena::Sharded(_));
-        if enabled != already {
-            let resolved: Vec<Formula> = self
-                .pending
-                .iter()
-                .map(|&s| self.arena.resolve_shifted(s))
-                .collect();
-            self.arena = if enabled {
-                QueryArena::Sharded(ShardedInterner::new())
-            } else {
-                QueryArena::Plain(Box::new(Interner::new()))
-            };
-            self.pending = resolved
-                .iter()
-                .map(|phi| {
-                    let id = self.arena.intern(phi);
-                    self.arena.normalize(id)
-                })
-                .collect();
-        }
-        self
-    }
-
-    /// Bounds the number of distinct rewritten formulas kept per pending
-    /// formula per segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is `Some(0)` — the monitor must keep at least one
-    /// rewritten formula per pending formula to stay sound (validated here so
-    /// the failure points at the misuse site, not at the first
-    /// [`OnlineMonitor::observe_segment`] call where the solver would reject
-    /// it).
-    pub fn with_limit(mut self, limit: Option<usize>) -> Self {
-        assert!(
-            limit != Some(0),
-            "OnlineMonitor::with_limit: the solution limit must be at least 1"
-        );
-        self.limit = limit;
-        self
-    }
-
-    /// Selects the solver exploration engine for every subsequent segment
-    /// (default: [`ExploreEngine::WorkStack`]). Both engines produce
-    /// identical verdicts and statistics.
-    pub fn with_engine(mut self, engine: ExploreEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The formulas whose verdicts are still open, resolved out of the
-    /// monitor's arena.
-    pub fn pending(&self) -> BTreeSet<Formula> {
-        self.pending
-            .iter()
-            .map(|&s| self.arena.resolve_shifted(s))
-            .collect()
-    }
-
-    /// Number of formulas whose verdicts are still open.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Aggregated solver statistics since the monitor was created.
-    pub fn stats(&self) -> SolverStats {
-        self.stats
-    }
-
-    /// Progresses every pending formula over the next observed segment.
-    /// Residual obligations are re-anchored at `next_anchor`, the base time of
-    /// the segment that will be observed next (or any time at or after the end
-    /// of this segment if it is the last one).
-    ///
-    /// Both arena representations flow through the same [`SegmentSolver`]
-    /// code path; the parallel mode fans the pending formulas out over worker
-    /// threads that share the sharded query-spanning arena (and therefore its
-    /// `one_cache`/`gap_cache` memoised progressions) through `&` handles.
-    pub fn observe_segment(&mut self, seg: &DistributedComputation, next_anchor: u64) {
-        let pending: Vec<ShiftedId> = self.pending.iter().copied().collect();
-        let limit = self.limit;
-        let engine = self.engine;
-        let mut next: BTreeSet<FormulaId> = BTreeSet::new();
-        match &mut self.arena {
-            QueryArena::Plain(interner) => {
-                // Materialise the shift-normal pendings before the solver
-                // borrows the arena. The materialised translate is the same
-                // hash-consed node the pre-shift-normal pending set held, so
-                // this costs no arena growth over the old representation.
-                let seeds: Vec<FormulaId> = pending
-                    .iter()
-                    .map(|&s| ArenaOps::materialize(&mut **interner, s))
-                    .collect();
-                let mut solver =
-                    SegmentSolver::new(seg, next_anchor, &mut **interner).with_engine(engine);
-                if let Some(l) = limit {
-                    solver = solver.with_limit(l);
-                }
-                for psi in seeds {
-                    let result = solver.progress(psi);
-                    self.stats.absorb(&result.stats);
-                    next.extend(result.formulas);
-                }
-            }
-            QueryArena::Sharded(arena) => {
-                let arena: &ShardedInterner = arena;
-                let seeds: Vec<FormulaId> = pending
-                    .iter()
-                    .map(|&s| {
-                        let mut handle = arena;
-                        ArenaOps::materialize(&mut handle, s)
-                    })
-                    .collect();
-                let results = crate::par::par_map(&seeds, |&psi| {
-                    let mut handle = arena;
-                    let mut solver =
-                        SegmentSolver::new(seg, next_anchor, &mut handle).with_engine(engine);
-                    if let Some(l) = limit {
-                        solver = solver.with_limit(l);
-                    }
-                    solver.progress(psi)
-                });
-                for result in results {
-                    self.stats.absorb(&result.stats);
-                    next.extend(result.formulas);
-                }
-            }
-        }
-        self.pending = next
-            .into_iter()
-            .map(|id| self.arena.normalize(id))
-            .collect();
-    }
-
-    /// The current verdict set: conclusive verdicts for formulas that have
-    /// collapsed to a constant, inconclusive entries (with the remaining
-    /// obligation) for the others.
-    pub fn current_verdicts(&self) -> VerdictSet {
-        let resolved = self.pending();
-        VerdictSet::from_formulas(resolved.iter())
-    }
-
-    /// Ends the computation: every remaining obligation is closed against the
-    /// empty future (finite-trace semantics, evaluated directly on the
-    /// interned ids) and the final verdict set is returned.
-    pub fn finish(&self) -> VerdictSet {
-        VerdictSet::from_bools(
-            self.pending
-                .iter()
-                .map(|&s| self.arena.eval_empty_shifted(s)),
-        )
-    }
-}
-
 /// The batch monitor: segments a complete computation according to its
-/// configuration and runs the online monitor over the segments.
+/// configuration, progresses the pending formulas segment by segment, and
+/// closes what remains against the empty future.
 ///
 /// # Examples
 ///
@@ -345,8 +90,7 @@ impl Monitor {
         Monitor { config }
     }
 
-    /// Creates a monitor with the default (unsegmented, sequential)
-    /// configuration.
+    /// Creates a monitor with the default (unsegmented) configuration.
     pub fn with_defaults() -> Self {
         Monitor::default()
     }
@@ -358,39 +102,62 @@ impl Monitor {
 
     /// Monitors `phi` over the complete computation `comp` and returns the
     /// verdict set together with per-segment accounting.
+    ///
+    /// One [`Interner`] holds every formula of the run, so the stable parts
+    /// of the specification are interned once, not once per segment per
+    /// pending formula. Pending obligations are kept in shift-normal form:
+    /// two obligations that are exact time-translates of each other share
+    /// one arena node and differ only in the shift word of their
+    /// [`ShiftedId`]. All pending formulas of a segment share one
+    /// [`SegmentSolver`] (memo table and per-cut caches included) and are
+    /// progressed in set order, so the run does the solver work of a
+    /// one-query sequential `rvmtl-runtime` stream over the same segments.
     pub fn run(&self, comp: &DistributedComputation, phi: &Formula) -> MonitorReport {
         let started = Instant::now();
         let g = self.config.segmentation.segment_count(comp.duration());
         let segments = segment(comp, g, self.config.mode);
         let final_anchor = comp.max_local_time() + comp.epsilon();
 
-        let mut online = OnlineMonitor::new(phi.clone())
-            .parallel(self.config.parallel)
-            .with_limit(self.config.max_solutions_per_segment)
-            .with_engine(self.config.engine);
+        let mut arena = Interner::new();
+        let root = arena.intern(phi);
+        let mut pending: BTreeSet<ShiftedId> = BTreeSet::from([arena.normalize(root)]);
         let mut reports = Vec::with_capacity(segments.len());
         for (i, seg) in segments.iter().enumerate() {
+            let seg_started = Instant::now();
             let next_anchor = segments
                 .get(i + 1)
-                .map(|next| next.base_time())
-                .unwrap_or(final_anchor);
-            let pending_in = online.pending_count();
-            let before = online.stats();
-            let seg_started = Instant::now();
-            online.observe_segment(seg, next_anchor);
-            let after = online.stats();
+                .map_or(final_anchor, DistributedComputation::base_time);
+            // Materialise the shift-normal pendings before the solver
+            // borrows the arena.
+            let seeds: Vec<FormulaId> = pending.iter().map(|&s| arena.materialize(s)).collect();
+            let mut solver = SegmentSolver::new(seg, next_anchor, &mut arena);
+            if let Some(limit) = self.config.max_solutions_per_segment {
+                solver = solver.with_limit(limit);
+            }
+            let mut solver_stats = SolverStats::default();
+            let mut next: BTreeSet<FormulaId> = BTreeSet::new();
+            for psi in seeds {
+                let result = solver.progress(psi);
+                solver_stats.absorb(&result.stats);
+                next.extend(result.formulas);
+            }
+            let pending_in = pending.len();
+            pending = next.into_iter().map(|id| arena.normalize(id)).collect();
             reports.push(SegmentReport {
                 index: i,
                 events: seg.event_count(),
                 pending_in,
-                pending_out: online.pending_count(),
-                solver_stats: after.delta_since(&before),
+                pending_out: pending.len(),
+                solver_stats,
                 elapsed: seg_started.elapsed(),
             });
         }
         MonitorReport {
-            verdicts: online.finish(),
-            pending: online.pending(),
+            // Translation changes interval anchors, not operator kinds, and
+            // `eval_empty` only looks at the kinds, so the canonical
+            // residual's empty-future verdict is the obligation's.
+            verdicts: VerdictSet::from_bools(pending.iter().map(|s| arena.eval_empty(s.id))),
+            pending: pending.iter().map(|&s| arena.resolve_shifted(s)).collect(),
             segments: reports,
             elapsed: started.elapsed(),
             integrity: Integrity::Exact,
@@ -498,41 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_monitoring_gives_identical_results() {
-        let comp = fig2_swap();
-        let phi = parse("!Apr.Redeem(bob) U[0,8) Ban.Redeem(alice)").unwrap();
-        let sequential = Monitor::new(MonitorConfig::with_segments(3)).run(&comp, &phi);
-        let parallel =
-            Monitor::new(MonitorConfig::with_segments(3).parallel(true)).run(&comp, &phi);
-        assert_eq!(sequential.verdicts, parallel.verdicts);
-        assert_eq!(sequential.pending, parallel.pending);
-    }
-
-    #[test]
-    fn online_monitor_reports_inconclusive_midway() {
-        let comp = fig2_swap();
-        let segments = rvmtl_distrib::segment(&comp, 2, rvmtl_distrib::SegmentationMode::Disjoint);
-        let phi = parse("!Apr.Redeem(bob) U[0,8) Ban.Redeem(alice)").unwrap();
-        let mut online = OnlineMonitor::new(phi);
-        online.observe_segment(&segments[0], segments[1].base_time());
-        let midway = online.current_verdicts();
-        assert!(
-            !midway.pending_formulas().is_empty(),
-            "the until obligation must still be open after the first segment: {midway}"
-        );
-        online.observe_segment(&segments[1], comp.max_local_time() + comp.epsilon());
-        let final_verdicts = online.finish();
-        assert!(final_verdicts.may_be_satisfied());
-        assert!(final_verdicts.may_be_violated());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be at least 1")]
-    fn zero_solution_limit_panics_at_the_builder() {
-        let _ = OnlineMonitor::new(parse("F[0,5) p").unwrap()).with_limit(Some(0));
-    }
-
-    #[test]
     fn max_solutions_bounds_pending_formulas() {
         let comp = fig2_swap();
         let phi = parse("F[2,9) Ban.Escrow & F[1,8) Apr.Escrow").unwrap();
@@ -567,6 +299,29 @@ mod tests {
         .run(&comp, &phi);
         assert_eq!(report.segments.len(), 4); // duration 7 at 0.5 segments/unit
         assert!(report.verdicts.may_be_satisfied());
+    }
+
+    /// Fence posts of far-apart events: `j · duration` no longer fits in
+    /// `u64`, which used to panic in debug builds and, in release builds,
+    /// wrapped the segment bases and turned the verdicts conclusive and wrong.
+    #[test]
+    fn far_apart_events_segment_without_overflow() {
+        let mut b = ComputationBuilder::new(2, 2);
+        b.event(0, 1, state!["a"]);
+        b.event(1, 1 << 63, state!["b"]);
+        let comp = b.build().unwrap();
+        let segments = segment(&comp, 4, rvmtl_distrib::SegmentationMode::Disjoint);
+        assert!(segments
+            .windows(2)
+            .all(|pair| pair[0].base_time() <= pair[1].base_time()));
+        let kept: usize = segments.iter().map(|s| s.event_count()).sum();
+        assert_eq!(kept, comp.event_count());
+        assert!(rvmtl_distrib::boundary_events(&comp, 4).is_empty());
+        for text in ["F b", "G a", "a U b"] {
+            let phi = parse(text).unwrap();
+            let report = Monitor::new(MonitorConfig::with_segments(4)).run(&comp, &phi);
+            assert_eq!(report.verdicts, naive_verdicts(&comp, &phi), "{text}");
+        }
     }
 
     #[test]

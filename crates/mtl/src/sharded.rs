@@ -5,7 +5,7 @@
 //! same canonicalising smart constructors, and the same progression caches —
 //! but every table is split into [`SHARDS`] shards, each behind its own
 //! `Mutex`, so worker threads can intern nodes and hit the `one_cache` /
-//! `gap_cache` concurrently. This is what lets the parallel monitoring paths
+//! `gap_cache` concurrently. This is what lets the pipelined streaming path
 //! share one *query-spanning* arena (and its memoised progressions) instead
 //! of rebuilding a throwaway interner per formula.
 //!

@@ -68,10 +68,9 @@
 //! engine ([`rvmtl_solver::ExploreEngine::WorkStack`], the default): an
 //! explicit frontier over flat batches with batched one/gap cache probes
 //! and staged memo slots. The reference recursion
-//! ([`rvmtl_solver::ExploreEngine::Reference`]) is retained behind the same
-//! trait for A/B equivalence runs (`bench_snapshot --abtest`); both engines
-//! execute the identical search, so the choice never shows in verdicts or
-//! search-shape counters.
+//! ([`rvmtl_solver::ExploreEngine::Reference`]) is kept in the solver as
+//! the oracle of its `engine_differential` suite, which pins that both
+//! engines execute the identical search; the runtime never selects it.
 //!
 //! # 3. One arena, shared — ids remapped at stage boundaries
 //!

@@ -9,7 +9,11 @@
 //! `g | D`, a stream with segment length `D/g` is boundary-identical. The
 //! suite runs the synthetic testgen corpus and all three cross-chain
 //! protocol drivers through the sequential, the pipelined, and the
-//! GC-every-segment streaming paths.
+//! GC-every-segment streaming paths. For a single query the sequential
+//! stream must also do the batch monitor's solver work: its
+//! [`SolverStats`] equal the sum of the batch run's per-segment stats
+//! (pipelined counters are not compared: workers race for a segment's
+//! solver caches).
 
 use rvmtl_chain::{
     specs, Auction, AuctionScenario, StepChoice, ThreePartyScenario, ThreePartySwap,
@@ -22,6 +26,14 @@ use rvmtl_mtl::testgen::{gen_formula, GenConfig};
 use rvmtl_mtl::Formula;
 use rvmtl_prng::StdRng;
 use rvmtl_runtime::{StreamConfig, StreamMonitor};
+use rvmtl_solver::SolverStats;
+use std::collections::BTreeSet;
+
+/// Per-query `(verdicts, pending)` of a run, and the run's solver work.
+type Outcome = (
+    Vec<(rvmtl_monitor::VerdictSet, BTreeSet<Formula>)>,
+    SolverStats,
+);
 
 /// Delivery orders for the same computation's events.
 #[derive(Clone, Copy, Debug)]
@@ -66,16 +78,13 @@ fn stream_order(comp: &DistributedComputation, order: Order) -> Vec<EventId> {
 }
 
 /// Streams `comp` through a [`StreamMonitor`] with the given config and
-/// delivery order, returning `(verdicts, pending)` per query.
+/// delivery order.
 fn stream_run(
     comp: &DistributedComputation,
     formulas: &[Formula],
     config: StreamConfig,
     order: Order,
-) -> Vec<(
-    rvmtl_monitor::VerdictSet,
-    std::collections::BTreeSet<Formula>,
-)> {
+) -> Outcome {
     let mut monitor = StreamMonitor::new(comp.process_count(), comp.epsilon(), config);
     for p in 0..comp.process_count() {
         monitor.initial_state(p, comp.initial_state(p.into()).clone());
@@ -88,32 +97,37 @@ fn stream_run(
             .expect("corpus events are stream-legal");
     }
     let report = monitor.finish();
-    ids.iter()
+    let per_query = ids
+        .iter()
         .map(|q| {
             (
                 report.verdicts[q.index()].clone(),
                 report.pending[q.index()].clone(),
             )
         })
-        .collect()
+        .collect();
+    (per_query, report.stats)
 }
 
-/// Batch reference: [`Monitor::run`] per formula.
+/// Batch reference: [`Monitor::run`] per formula, solver work summed over
+/// formulas and segments.
 fn batch_run(
     comp: &DistributedComputation,
     formulas: &[Formula],
     config: MonitorConfig,
-) -> Vec<(
-    rvmtl_monitor::VerdictSet,
-    std::collections::BTreeSet<Formula>,
-)> {
-    formulas
+) -> Outcome {
+    let mut stats = SolverStats::default();
+    let per_query = formulas
         .iter()
         .map(|phi| {
             let report = Monitor::new(config.clone()).run(comp, phi);
+            for segment in &report.segments {
+                stats.absorb(&segment.solver_stats);
+            }
             (report.verdicts, report.pending)
         })
-        .collect()
+        .collect();
+    (per_query, stats)
 }
 
 /// A `(g, L)` pair with `g · L = duration` (batch boundaries = multiples of
@@ -132,12 +146,21 @@ fn aligned_segmentation(comp: &DistributedComputation) -> Option<(usize, u64)> {
 /// Checks streaming (several paths and delivery orders) against the batch
 /// monitor for one computation and query set.
 fn assert_stream_equals_batch(comp: &DistributedComputation, formulas: &[Formula], label: &str) {
+    // Solver work is per distinct obligation on the stream, per query in
+    // the batch monitor, so it is comparable for one query only.
+    let same_work = |streamed: &Outcome, batch: &Outcome, context: &str| {
+        assert_eq!(streamed.0, batch.0, "{label}: {context}");
+        if formulas.len() == 1 {
+            assert_eq!(streamed.1, batch.1, "{label}: {context}: solver stats");
+        }
+    };
+
     // Unsegmented: one stream segment spanning everything.
     let whole_length = comp.duration().max(1) + 1;
     let batch = batch_run(comp, formulas, MonitorConfig::unsegmented());
     for order in [Order::Time, Order::ProcessMajor, Order::Random(7)] {
         let streamed = stream_run(comp, formulas, StreamConfig::new(whole_length), order);
-        assert_eq!(streamed, batch, "{label}: unsegmented, {order:?}");
+        same_work(&streamed, &batch, &format!("unsegmented, {order:?}"));
     }
 
     // Boundary-aligned segmentation, when one exists.
@@ -147,7 +170,7 @@ fn assert_stream_equals_batch(comp: &DistributedComputation, formulas: &[Formula
     let batch = batch_run(comp, formulas, MonitorConfig::with_segments(g));
     for order in [Order::Time, Order::ProcessMajor, Order::Random(23)] {
         let streamed = stream_run(comp, formulas, StreamConfig::new(length), order);
-        assert_eq!(streamed, batch, "{label}: g = {g}, {order:?}");
+        same_work(&streamed, &batch, &format!("g = {g}, {order:?}"));
     }
     // Pipelined path (forced workers — the container may have one core) and
     // GC-every-segment path must agree too.
@@ -156,15 +179,17 @@ fn assert_stream_equals_batch(comp: &DistributedComputation, formulas: &[Formula
         formulas,
         StreamConfig::new(length).pipelined(Some(3)).flush_depth(g),
         Order::Time,
-    );
-    assert_eq!(pipelined, batch, "{label}: pipelined, g = {g}");
+    )
+    .0;
+    assert_eq!(pipelined, batch.0, "{label}: pipelined, g = {g}");
     let gc_heavy = stream_run(
         comp,
         formulas,
         StreamConfig::new(length).gc_interval(1),
         Order::Time,
-    );
-    assert_eq!(gc_heavy, batch, "{label}: gc_interval = 1, g = {g}");
+    )
+    .0;
+    assert_eq!(gc_heavy, batch.0, "{label}: gc_interval = 1, g = {g}");
 }
 
 #[test]
@@ -232,6 +257,28 @@ fn initial_states_streaming_equals_batch() {
     assert_stream_equals_batch(&comp, &formulas, "carried initial states");
 }
 
+/// A segment whose pending set holds several obligations that meet in one
+/// search state: the batch monitor and the sequential stream each share one
+/// solver across the segment's obligations (a memo hit here), so their
+/// solver work stays equal. A solver per obligation would explore the
+/// meeting state twice.
+#[test]
+fn pending_obligations_share_one_solver_per_segment() {
+    use rvmtl_distrib::ComputationBuilder;
+    use rvmtl_mtl::{parse, state};
+    let mut b = ComputationBuilder::new(1, 2);
+    b.event(0, 3, state!["p", "r"]);
+    b.event(0, 5, state!["p", "q"]);
+    b.event(0, 8, state!["q"]);
+    let comp = b.build().unwrap();
+    let phi = parse("G[2,5) (true U[2,3) p)").unwrap();
+    assert_eq!(aligned_segmentation(&comp), Some((4, 2)));
+    let formulas = [phi];
+    let (_, stats) = batch_run(&comp, &formulas, MonitorConfig::with_segments(4));
+    assert!(stats.memo_hits > 0, "the obligations must meet: {stats:?}");
+    assert_stream_equals_batch(&comp, &formulas, "obligations meeting in one state");
+}
+
 const DELTA: u64 = 50;
 const EPSILON: u64 = 3;
 
@@ -251,6 +298,11 @@ fn two_party_protocol_streaming_equals_batch() {
             specs::two_party::bob_conform(DELTA),
         ];
         assert_stream_equals_batch(&comp, &formulas, &format!("two-party {label}"));
+        // One spec at a time, so the solver work is compared too.
+        for (i, phi) in formulas.iter().enumerate() {
+            let context = format!("two-party {label}, spec {i}");
+            assert_stream_equals_batch(&comp, std::slice::from_ref(phi), &context);
+        }
     }
 }
 

@@ -215,9 +215,8 @@
 //!   recursive engine ([`ExploreEngine::Reference`]) runs the identical
 //!   search through the same batched splitters; the `engine_differential`
 //!   suite pins verdict sets *and* full [`SolverStats`] equality between
-//!   the two across ε sweeps, property suites and both arenas, and the
-//!   `--abtest` mode of `bench_snapshot` measures the ns/state gap between
-//!   them under interleaved rounds.
+//!   the two across ε sweeps, property suites, the saturation fixtures and
+//!   both arenas. `BENCH_9.json` records the ns/state gap between them.
 //!
 //! The batch shape itself is pinned: [`SolverStats::frontier_batches`] (one
 //! per `(node, event)` expansion with a non-empty clipped window) and

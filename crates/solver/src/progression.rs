@@ -75,7 +75,7 @@ use std::sync::Arc;
 ///   cache probes, pooled per-depth buffers and staged memo slots (see the
 ///   crate-level "Data-oriented core" section).
 /// * [`ExploreEngine::Reference`] — the retained recursive explorer, kept as
-///   the differential baseline and the `--abtest` comparison engine.
+///   the oracle of the `engine_differential` suite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExploreEngine {
     /// Flat work-stack engine over frontier batches (default).
@@ -226,7 +226,7 @@ impl<'a> ProgressionQuery<'a> {
 
     /// Selects the exploration engine (default: [`ExploreEngine::WorkStack`]).
     /// Both engines produce identical results and statistics; the reference
-    /// engine exists as a differential baseline and A/B comparison point.
+    /// engine exists as a differential baseline.
     pub fn with_engine(mut self, engine: ExploreEngine) -> Self {
         self.engine = engine;
         self
@@ -347,7 +347,7 @@ impl<'a, 'i, A: ArenaOps> SegmentSolver<'a, 'i, A> {
 
     /// Selects the exploration engine (default: [`ExploreEngine::WorkStack`]).
     /// Both engines produce identical results and statistics; the reference
-    /// engine exists as a differential baseline and A/B comparison point.
+    /// engine exists as a differential baseline.
     pub fn with_engine(mut self, engine: ExploreEngine) -> Self {
         self.engine.mode = engine;
         self

@@ -4,8 +4,8 @@
 //! (including the batch counters, which both engines account at the same
 //! program points) — on every input. The suites sweep the whole ε axis
 //! (1..=8), the delayed-window regime where the shift-normal zone machinery
-//! fires, and the shift-free class, over both the sequential [`Interner`]
-//! and the concurrent [`ShardedInterner`] arenas.
+//! fires, the shift-free class and the ε = 16 saturation fixtures, over both
+//! the sequential [`Interner`] and the concurrent [`ShardedInterner`] arenas.
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig, PROPS};
@@ -92,6 +92,17 @@ fn gen_comp(rng: &mut StdRng, epsilon: u64) -> DistributedComputation {
         }
     }
     b.build().expect("generated computations are valid")
+}
+
+/// The Fig. 3 computation (`saturation_computation` of `rvmtl-bench`) under
+/// skew bound `epsilon`.
+fn fig3(epsilon: u64) -> DistributedComputation {
+    let mut b = ComputationBuilder::new(2, epsilon);
+    b.event(0, 1, state!["a"]);
+    b.event(0, 4, state![]);
+    b.event(1, 2, state!["a"]);
+    b.event(1, 5, state!["b"]);
+    b.build().expect("fixture is valid")
 }
 
 fn gen_phi(rng: &mut StdRng) -> Formula {
@@ -226,6 +237,18 @@ fn engines_agree_on_shift_free_suite_both_arenas() {
     }
 }
 
+/// The shift-free saturation fixtures the two engines were timed on
+/// (`BENCH_9.json`): Fig. 3 at ε = 16, where the time-interval abstraction
+/// saturates, unsegmented.
+#[test]
+fn engines_agree_on_saturation_fixtures() {
+    let comp = fig3(16);
+    for text in ["a U[0,6) b", "G[0,10) (a | b)"] {
+        let phi = parse(text).expect("fixed formula parses");
+        assert_engines_agree(&comp, &phi, None, text);
+    }
+}
+
 /// Solution limits stop both engines at the same point: the limit interacts
 /// with emission order (a premature stop under a different order would leak
 /// through verdict sets), so agreement here pins that the work-stack driver
@@ -256,12 +279,7 @@ fn engines_agree_under_limits_across_epsilon() {
 #[test]
 fn watermark_trip_is_invisible_under_both_engines() {
     let phi = parse("a U[0,6) b").expect("fixed formula parses");
-    let mut b = ComputationBuilder::new(2, 3);
-    b.event(0, 1, state!["a"]);
-    b.event(0, 4, state![]);
-    b.event(1, 2, state!["a"]);
-    b.event(1, 5, state!["b"]);
-    let comp = b.build().expect("fixture is valid");
+    let comp = fig3(3);
     for engine in [ExploreEngine::WorkStack, ExploreEngine::Reference] {
         let mut plain = Interner::new();
         let down = solve(&mut plain, &comp, &phi, engine, None);

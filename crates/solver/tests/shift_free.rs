@@ -107,7 +107,7 @@ fn shift_free_fast_path_is_observationally_invisible_sequential() {
 }
 
 /// Sharded arena: same property through `&ShardedInterner` handles (the
-/// parallel monitoring path), compared against the sequential fast path.
+/// pipelined streaming path), compared against the sequential fast path.
 #[test]
 fn shift_free_fast_path_is_observationally_invisible_sharded() {
     let formulas = shift_free_formulas(24, 0x54DD);
