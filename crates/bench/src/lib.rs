@@ -724,26 +724,17 @@ pub struct WireReplayRun {
 impl WireReplayRun {
     /// `true` if the wire-replayed run is indistinguishable from direct
     /// ingestion: verdicts, pending obligations, integrity tags, segment
-    /// count and health always, plus exact [`SolverStats`] equality on the
-    /// sequential path (the pipelined explored/memo split is racy between
-    /// any two runs, wire or not, so there only the deterministic counters
-    /// gate).
+    /// count, health and exact [`SolverStats`] equality, on either
+    /// execution path (both are deterministic).
     ///
     /// [`SolverStats`]: rvmtl_solver::SolverStats
     pub fn replay_identical(&self) -> bool {
-        let base = self.replayed.verdicts == self.direct.verdicts
+        self.replayed.verdicts == self.direct.verdicts
             && self.replayed.pending == self.direct.pending
             && self.replayed.integrity == self.direct.integrity
             && self.replayed.segments == self.direct.segments
-            && self.replayed.health == self.direct.health;
-        let stats = if self.pipelined {
-            self.replayed.stats.explored_states + self.replayed.stats.memo_hits
-                == self.direct.stats.explored_states + self.direct.stats.memo_hits
-                && self.replayed.stats.completed_sequences == self.direct.stats.completed_sequences
-        } else {
-            self.replayed.stats == self.direct.stats
-        };
-        base && stats
+            && self.replayed.health == self.direct.health
+            && self.replayed.stats == self.direct.stats
     }
 }
 

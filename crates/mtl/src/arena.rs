@@ -1,20 +1,18 @@
-//! The formula-arena abstraction: one trait, two implementations.
+//! The formula-arena abstraction.
 //!
-//! The solver engine and the monitors are written against [`ArenaOps`], the
-//! common interface of the single-threaded [`crate::Interner`] and the
-//! lock-per-shard [`crate::ShardedInterner`]. The trait has two layers:
+//! The solver engine and the monitors are written against [`ArenaOps`],
+//! which [`crate::Interner`] implements. Concurrent callers give each thread
+//! an arena of its own (the streaming runtime's pipelined path owns one
+//! `Interner` per worker), so no implementation needs locks. The trait has
+//! two layers:
 //!
 //! * **Required methods** — node storage, canonicalising smart constructors,
-//!   state interning and the two progression caches. Each arena implements
-//!   these natively (plain vectors and maps for `Interner`, sharded
-//!   `Mutex`-protected tables for `ShardedInterner`).
+//!   state interning and the two progression caches, which the interner
+//!   implements natively with plain vectors and maps.
 //! * **Provided methods** — the *algorithms*: memoised single-observation and
 //!   gap progression, interval-splitting progression over occurrence windows,
 //!   empty-future evaluation, and conversion to/from the plain [`Formula`]
-//!   tree. These are written once, here, on top of the required methods, so
-//!   the sequential and the concurrent arena cannot diverge semantically —
-//!   `intern_properties.rs` additionally pins their agreement on random
-//!   formulas.
+//!   tree. These are written once, here, on top of the required methods.
 //!
 //! The provided algorithms mirror the documented contracts of the inherent
 //! [`crate::Interner`] methods of the same names (see `intern.rs` for the
@@ -82,8 +80,7 @@ pub struct SplitRange {
 /// and caches. The trait is not object-safe (the interval-splitting helpers
 /// take closures); it is used via monomorphisation only.
 pub trait ArenaOps {
-    /// The node named by `id` (a clone — nodes are small, and the concurrent
-    /// arena cannot hand out references across its shard locks).
+    /// The node named by `id` (a clone — nodes are small).
     fn node(&self, id: FormulaId) -> Node;
 
     /// Returns `true` if the interned state `key` satisfies the proposition.
@@ -140,10 +137,7 @@ pub trait ArenaOps {
     /// `Option` per key into `out` (cleared first). Semantically identical to
     /// looping [`ArenaOps::one_cache_get`] — including the hit/miss tallies,
     /// which must count one probe per key — but implementors may amortise the
-    /// table traffic: the sharded arena locks each shard once per maximal
-    /// same-shard key run instead of once per key, and every key of one
-    /// splitter run shares a formula (hence a shard), so a whole batch is one
-    /// lock round-trip.
+    /// table traffic and the tallying over the whole run.
     fn one_cache_get_batch(&self, keys: &[OneKey], out: &mut Vec<Option<FormulaId>>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.one_cache_get(k)));
@@ -154,14 +148,6 @@ pub trait ArenaOps {
     fn gap_cache_get_batch(&self, keys: &[GapKey], out: &mut Vec<Option<FormulaId>>) {
         out.clear();
         out.extend(keys.iter().map(|&k| self.gap_cache_get(k)));
-    }
-
-    /// Interns a slice of formula trees in order. The sequential arena gains
-    /// nothing over a loop; the sharded arena still pays per-node lock
-    /// traffic (hash-consing is per-shard), but callers get one entry point
-    /// to hand a whole query set to either arena.
-    fn intern_all(&mut self, phis: &[Formula]) -> Vec<FormulaId> {
-        phis.iter().map(|phi| self.intern(phi)).collect()
     }
 
     /// Smart binary conjunction.

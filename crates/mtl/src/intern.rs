@@ -112,17 +112,13 @@ impl FormulaId {
         }
     }
 
-    /// The raw index (useful for dense side tables).
-    ///
-    /// Only dense for ids produced by an [`Interner`]; the ids of a
-    /// [`crate::ShardedInterner`] pack a shard number into the low bits and
-    /// are sparse in this index space.
+    /// The raw index (dense: useful for side tables).
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
-    /// Builds an id from its raw representation (crate-internal: used by the
-    /// sharded arena's packed ids and by compaction).
+    /// Builds an id from its raw representation (crate-internal: used by
+    /// compaction, snapshots and the packed cache keys).
     pub(crate) fn from_raw(raw: u32) -> Self {
         FormulaId(raw)
     }
@@ -434,8 +430,8 @@ pub struct Interner {
     one_cache: FxHashMap<OneKey, FormulaId>,
     /// Cumulative hit/miss tallies of the two caches (telemetry; preserved
     /// across [`Interner::compact`]). `Cell` because lookups take `&self` —
-    /// this makes the sequential arena `!Sync`, which it already was in
-    /// spirit: concurrent paths use [`crate::ShardedInterner`].
+    /// this makes the arena `!Sync`: concurrent callers give each thread an
+    /// arena of its own.
     stats: CacheStatCells,
     /// Memoised gap progressions, keyed `(canonical residual, elapsed −
     /// shift)` packed into a [`GapKey`] scalar. Gap progression has no
@@ -1123,8 +1119,8 @@ impl Interner {
     /// core of a `□`-residual) are progressed once per `(state, elapsed)`
     /// no matter how many pending formulas contain them.
     pub fn progress_one_cached(&mut self, key: StateKey, id: FormulaId, elapsed: u64) -> FormulaId {
-        // The algorithm lives in `ArenaOps` so the sequential and sharded
-        // arenas share one implementation.
+        // The algorithm lives in `ArenaOps`, next to the other provided
+        // progression algorithms.
         <Self as crate::ArenaOps>::progress_one_cached(self, key, id, elapsed)
     }
 
@@ -1474,8 +1470,7 @@ impl Interner {
     }
 }
 
-/// Memory footprint of an arena, in table entries (see [`Interner::memory`]
-/// and [`crate::ShardedInterner::memory`]).
+/// Memory footprint of an arena, in table entries (see [`Interner::memory`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaMemory {
     /// Number of interned formula nodes.
@@ -1496,7 +1491,7 @@ impl ArenaMemory {
 }
 
 /// Cumulative hit/miss tallies of the two progression caches (see
-/// [`Interner::cache_stats`] and [`crate::ShardedInterner::cache_stats`]).
+/// [`Interner::cache_stats`]).
 ///
 /// The tallies are monotone over the arena's lifetime: [`Interner::compact`]
 /// rebuilds the cache tables but leaves the counters in place, so a stream's
@@ -1532,7 +1527,7 @@ impl CacheStats {
     }
 }
 
-/// Interior-mutable tally cells for [`CacheStats`] inside the sequential
+/// Interior-mutable tally cells for [`CacheStats`] inside the
 /// [`Interner`] (`Cell` keeps the arena `Clone`; lookups take `&self`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CacheStatCells {

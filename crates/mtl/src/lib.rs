@@ -53,7 +53,6 @@ mod intern;
 mod interval;
 mod parser;
 mod progress;
-mod sharded;
 mod simplify;
 pub mod snapshot;
 mod state;
@@ -71,7 +70,6 @@ pub use intern::{
 pub use interval::Interval;
 pub use parser::{parse, ParseError};
 pub use progress::{progress, progress_default, progress_gap};
-pub use sharded::ShardedInterner;
 pub use simplify::simplify;
 pub use state::State;
 pub use trace::{TimedTrace, TraceError};

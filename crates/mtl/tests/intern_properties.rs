@@ -4,7 +4,7 @@
 //! arena must actually cons — structurally equal formulas share one id.
 
 use rvmtl_mtl::testgen::{gen_formula, gen_state, gen_trace, GenConfig};
-use rvmtl_mtl::{evaluate, simplify, ArenaOps, Formula, Interner, ShardedInterner, TimedTrace};
+use rvmtl_mtl::{evaluate, simplify, ArenaOps, Formula, Interner, TimedTrace};
 use rvmtl_prng::StdRng;
 
 const CASES: usize = 256;
@@ -255,59 +255,6 @@ fn shift_normal_decomposition_roundtrips_for_random_formulas() {
     }
 }
 
-/// The sharded concurrent arena and the sequential interner agree on every
-/// observable: canonical resolution, temporal horizons, empty-future
-/// evaluation, and memoised progressions (resolved structurally, since the
-/// two arenas assign different raw ids). This is the divergence guard for
-/// the independently implemented canonicalising constructors of
-/// `ShardedInterner`.
-#[test]
-fn sharded_arena_agrees_with_sequential_interner() {
-    let mut rng = StdRng::seed_from_u64(0x54A2);
-    let mut plain = Interner::new();
-    let sharded = ShardedInterner::new();
-    for _ in 0..CASES {
-        let phi = gen_phi(&mut rng);
-        let plain_id = plain.intern(&phi);
-        let sharded_id = sharded.intern(&phi);
-        assert_eq!(
-            plain.resolve(plain_id),
-            sharded.resolve(sharded_id),
-            "phi = {phi}"
-        );
-        assert_eq!(
-            plain.temporal_horizon(plain_id),
-            ArenaOps::temporal_horizon(&&sharded, sharded_id),
-            "phi = {phi}"
-        );
-        assert_eq!(
-            plain.eval_empty(plain_id),
-            sharded.eval_empty(sharded_id),
-            "phi = {phi}"
-        );
-        let state = gen_state(&mut rng);
-        let elapsed = rng.gen_range(0u64..16);
-        let plain_key = plain.intern_state(&state);
-        let mut handle = &sharded;
-        let sharded_key = ArenaOps::intern_state(&mut handle, &state);
-        let via_plain = plain.progress_one_cached(plain_key, plain_id, elapsed);
-        let via_sharded =
-            ArenaOps::progress_one_cached(&mut handle, sharded_key, sharded_id, elapsed);
-        assert_eq!(
-            plain.resolve(via_plain),
-            sharded.resolve(via_sharded),
-            "progress_one: phi = {phi}, state = {state}, elapsed = {elapsed}"
-        );
-        let gap_plain = plain.progress_gap_cached(plain_id, elapsed);
-        let gap_sharded = ArenaOps::progress_gap_cached(&mut handle, sharded_id, elapsed);
-        assert_eq!(
-            plain.resolve(gap_plain),
-            sharded.resolve(gap_sharded),
-            "progress_gap: phi = {phi}, elapsed = {elapsed}"
-        );
-    }
-}
-
 /// The interned gap progression agrees with the `Formula`-level one.
 #[test]
 fn progress_gap_agrees_with_formula_level() {
@@ -493,50 +440,4 @@ fn shift_watermark_flips_once_and_tracks_compaction() {
     let again = interner.intern(&rvmtl_mtl::parse("G[2,9) z").unwrap());
     assert!(interner.ever_shifted());
     assert_eq!(interner.normalize(again).shift, 2);
-}
-
-/// The sharded arena's watermark mirrors the sequential one: down on a fresh
-/// arena, unmoved by shift-free interning, raised by the first nonzero-slack
-/// node — including under concurrent interning from several threads — and
-/// reset by `clear` (the sharded epoch GC), after which the fast path
-/// re-arms.
-#[test]
-fn sharded_watermark_is_monotone_and_resets_with_clear() {
-    let mut arena = ShardedInterner::new();
-    assert!(!arena.ever_shifted());
-    let free = arena.intern(&rvmtl_mtl::parse("a U[0,8) b").unwrap());
-    assert!(!arena.ever_shifted());
-    let s = ArenaOps::normalize(&&arena, free);
-    assert_eq!((s.shift, s.id), (0, free));
-
-    // Concurrent interning: every thread interning a delayed-window formula
-    // observes the watermark up on its own id immediately afterwards
-    // (raise-before-publish).
-    std::thread::scope(|scope| {
-        for k in 0..4u64 {
-            let arena = &arena;
-            scope.spawn(move || {
-                let text = format!("F[{},{}) p{k}", 3 + k, 9 + k);
-                let id = arena.intern(&rvmtl_mtl::parse(&text).unwrap());
-                assert!(arena.ever_shifted(), "{text}");
-                let s = ArenaOps::normalize(&arena, id);
-                assert_eq!(s.shift, 3 + k, "{text}");
-                assert_eq!(
-                    arena.resolve(ArenaOps::materialize(&mut &*arena, s)),
-                    arena.resolve(id),
-                    "{text}"
-                );
-            });
-        }
-    });
-    assert!(arena.ever_shifted());
-
-    // The epoch reset drops everything, including the watermark.
-    arena.clear();
-    assert!(!arena.ever_shifted());
-    let free2 = arena.intern(&rvmtl_mtl::parse("a U[0,8) b").unwrap());
-    assert_eq!(ArenaOps::normalize(&&arena, free2).shift, 0);
-    let tripped = arena.intern(&rvmtl_mtl::parse("F[4,7) q").unwrap());
-    assert!(arena.ever_shifted());
-    assert_eq!(ArenaOps::normalize(&&arena, tripped).shift, 4);
 }

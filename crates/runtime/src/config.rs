@@ -11,17 +11,23 @@ pub struct StreamConfig {
     /// Base (anchor) time of the stream: the first segment starts here and
     /// every query is anchored here. Defaults to 0.
     pub base_time: u64,
-    /// Process queued closed segments through the pipelined worker pool
-    /// (requires `workers > 1` to take effect; the sequential path is used
-    /// otherwise).
+    /// Process queued closed segments on the pipelined path: each batch's
+    /// units — distinct `(entry segment, pending obligation)` pairs — are
+    /// dealt to worker threads with private arenas (see the crate
+    /// documentation, section 2). Requires `workers > 1` to take effect;
+    /// the sequential path is used otherwise.
     pub pipeline: bool,
-    /// Worker-thread count for the pipelined path. `None` uses
+    /// Worker-thread count for the pipelined path: a batch runs on at most
+    /// this many threads, one per unit when it has fewer units, and the
+    /// monitor keeps one arena per thread it has used. `None` uses
     /// [`std::thread::available_parallelism`].
     pub workers: Option<usize>,
     /// Number of closed segments to buffer before processing them as one
-    /// pipelined batch. Deeper buffers expose more segment-level parallelism
-    /// at the cost of verdict latency. Defaults to 1 (process as soon as a
-    /// segment closes).
+    /// batch. On the pipelined path a batch costs one round of thread
+    /// spawns and one re-interning of seeds and results whatever its depth,
+    /// so deeper buffers amortise those over more segments, at the cost of
+    /// verdict latency. Defaults to 1 (process as soon as a segment
+    /// closes).
     pub flush_depth: usize,
     /// Hard bound on the closed-segment queue (backpressure): when an
     /// [`crate::StreamMonitor::observe`] or
@@ -36,11 +42,6 @@ pub struct StreamConfig {
     /// Upper bound on distinct rewritten formulas kept per pending formula
     /// per segment (`None` = unbounded; see
     /// [`rvmtl_monitor::MonitorConfig::max_solutions_per_segment`]).
-    ///
-    /// Note: under the pipelined path a bound makes the *choice* of kept
-    /// rewrites scheduling-dependent (the set of verdicts found is still
-    /// sound, but which `limit` representatives survive may vary run to
-    /// run); exhaustive (unbounded) runs are fully deterministic.
     pub max_solutions_per_segment: Option<usize>,
     /// Compact the query-spanning arena every this many processed segments
     /// (the GC epoch; 0 disables compaction). Defaults to 32.

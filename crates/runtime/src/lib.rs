@@ -39,32 +39,31 @@
 //! pending set untouched.
 //!
 //! The pipelined path buffers closed segments up to the configured flush
-//! depth and processes them as one batch on a pool of scoped worker threads
-//! (`std::thread::scope`). Queries with the same entry segment and pending
-//! set form one *class*; the pipeline progresses classes and the monitor
-//! fans each class's result back to its queries, re-interning each
-//! distinct obligation into the worker arena, and each distinct result back
-//! into the query arena, once per batch. The unit of work is one `(class,
-//! segment, pending formula)` triple, but workers *drain and solve in
-//! same-segment batches*: a worker pops an item and takes every queued item
-//! of the same segment along with it (capped to a fair share under
-//! contention), progressing the whole batch through **one** solver — the
-//! segment's cache slot is taken and merged back once per batch, and the
-//! solver's pooled work-stack frames and probe scratch stay warm across it.
-//! Each distinct rewritten formula is enqueued immediately as a work item
-//! for the next segment, so segment `k + 1` starts progressing a formula
-//! **as soon as stage `k` emits it** — there is no barrier between
-//! segments, and idle cores pick up whatever stage has work.
-//! Per-`(segment, class)` dedup sets keep the pending-set semantics
-//! identical to the sequential union; a per-segment result cache collapses
-//! the obligations that different classes share, and the solver's
-//! per-segment memo/feasibility caches ([`rvmtl_solver::SegmentCaches`])
-//! live in one slot per segment, taken and merged back per batch instead of
-//! rebuilt per formula. A query registered mid-stream
-//! ([`StreamMonitor::add_query`] after segments closed) is re-anchored at
-//! the current watermark boundary and enters at that boundary's segment.
+//! depth and processes them as one batch on scoped worker threads
+//! (`std::thread::scope`). The paper progresses every pending formula
+//! independently — the next pending set is the union of each obligation's
+//! rewrites — so a batch splits into *units* that share nothing: one unit
+//! is a distinct `(entry segment, pending obligation)` pair of the queries
+//! observing the batch, taken in first-seen order. The units are dealt
+//! round-robin to `min(workers, units)` workers. Each worker advances its
+//! units segment by segment through the step the sequential path runs —
+//! one solver per segment with the solution limit, one panic-isolated solve
+//! per distinct formula of its units — and returns one pending set per
+//! unit; a query's new pending set is the union of its units' results. The
+//! parallelism is across units, not across segments: a segment's work is
+//! spread over the workers holding obligations that observe it. A query
+//! registered mid-stream ([`StreamMonitor::add_query`] after segments
+//! closed) is re-anchored at the current watermark boundary, and its units
+//! enter at that boundary's segment.
 //!
-//! Inside each batch the solver explores with the data-oriented work-stack
+//! Both paths are deterministic. A worker's solve order and arena state
+//! are functions of its units and its own history, so pipelined verdicts,
+//! pending sets, solver counters and cache tallies repeat exactly from run
+//! to run, also under a solution limit. Pipelined solver counters need not
+//! equal sequential ones, though: formulas of units dealt to different
+//! workers may meet, and each worker then solves its own copy.
+//!
+//! On both paths the solver explores with the data-oriented work-stack
 //! engine ([`rvmtl_solver::ExploreEngine::WorkStack`], the default): an
 //! explicit frontier over flat batches with batched one/gap cache probes
 //! and staged memo slots. The reference recursion
@@ -72,17 +71,18 @@
 //! the oracle of its `engine_differential` suite, which pins that both
 //! engines execute the identical search; the runtime never selects it.
 //!
-//! # 3. One arena, shared — ids remapped at stage boundaries
+//! # 3. Arenas: one for the queries, one per worker
 //!
-//! Workers intern rewritten formulas into one
-//! [`rvmtl_mtl::ShardedInterner`] — the arena is split into hash-addressed
-//! shards, each behind its own lock, so worker threads intern and hit the
-//! `one_cache`/`gap_cache` progression memos concurrently instead of
-//! rebuilding a throwaway interner per formula (the pre-runtime parallel
-//! path's design, deleted with this crate). Between batches the pending ids
-//! are remapped into the exclusive query-spanning [`rvmtl_mtl::Interner`]
-//! (structural re-interning; both arenas hash-cons, so this is a lookup per
-//! node) where they live between stages and across the monitor's lifetime.
+//! Pending sets live in the query-spanning [`rvmtl_mtl::Interner`] for the
+//! monitor's lifetime, and the sequential path solves in it directly. The
+//! pipelined path gives each worker a private `Interner` (an `Interner` is
+//! `!Sync`, and a private arena needs no locks). The worker arenas live in
+//! the monitor across batches, so their nodes and their
+//! `one_cache`/`gap_cache` progression memos carry over from batch to
+//! batch. Seeds are resolved out of the query arena on the monitor thread
+//! and re-interned into their worker's arena; each worker's distinct
+//! results come back into the query arena once per batch (structural
+//! re-interning: both arenas hash-cons, so this is a lookup per node).
 //!
 //! Pending sets are held in *shift-normal form*
 //! ([`rvmtl_mtl::ShiftedId`]): an obligation is stored as its canonical
@@ -101,7 +101,8 @@
 //! sets (their materialised translates are rebuilt on demand). Dead nodes,
 //! dead observation states and progression-cache entries with a dead
 //! endpoint are reclaimed; surviving entries keep their warmth. The worker
-//! arena is reset on the same epochs. Long-running monitoring therefore
+//! arenas are emptied on the same epochs (compacted over no roots, which
+//! keeps their cumulative cache tallies). Long-running monitoring therefore
 //! holds a bounded arena regardless of stream length — pinned by the GC
 //! tests. Backpressure on the closed-segment queue
 //! ([`StreamConfig::max_queued_segments`]) bounds the ingestion side the
@@ -140,9 +141,7 @@
 //! every query holding it, it is reported as an inconclusive verdict and
 //! the query is tagged `Degraded { worker_panics, .. }` (one panic counted
 //! per query and obligation); every other obligation and query proceeds
-//! exactly. Shared-state locks recover
-//! from poisoning (the guarded structures are consistent at every panic
-//! point); the global [`RuntimeHealth`] surface
+//! exactly. The global [`RuntimeHealth`] surface
 //! ([`StreamMonitor::health`]) counts rejections, absorptions, lost items
 //! and backpressure stalls in one place.
 //!
@@ -193,16 +192,20 @@
 //!   hit/miss tallies, arena populations, pending obligations per query.
 //!   These are bridged from always-on monitor state at snapshot time by
 //!   [`StreamMonitor::telemetry`]: they cost nothing extra, work whether or
-//!   not telemetry is enabled, and are **deterministic** — identical across
-//!   the sequential and pipelined execution paths and across
-//!   checkpoint/restore of the same stream, so the bench pin suite pins
-//!   them like any other search-shape figure.
+//!   not telemetry is enabled, and are **deterministic** — they repeat
+//!   exactly across runs of the same stream on either execution path, and
+//!   the stream-level ones (events, segments, GC epochs, checkpoints,
+//!   pending obligations) are identical across the two paths and across
+//!   checkpoint/restore, so the bench pin suite pins them like any other
+//!   search-shape figure. The `arena="worker"` series sum over the
+//!   pipelined path's worker arenas.
 //! * **Timing instruments** — log2-bucketed histograms (p50/p90/p99) of
 //!   segment solve time, batch solve time, event-to-verdict latency,
 //!   per-query verdict latency, GC pause, checkpoint write time and
 //!   per-solve wall time (`rvmtl_work_item_nanos`: one sample per distinct
-//!   obligation progressed through a segment, however many queries hold
-//!   it), plus pipeline busy/wall counters. These exist
+//!   obligation a segment step progresses, however many queries hold it),
+//!   plus the pipeline's busy (summed worker solve time) and wall
+//!   counters. These exist
 //!   only under [`StreamConfig::with_telemetry`]; disabled, every
 //!   instrument is a no-op handle and each call site costs one never-taken
 //!   branch. Enabled, the cost is measured rather than budgeted: perfbench's
@@ -232,12 +235,12 @@
 //!
 //! [`StreamMonitor::add_query`] multiplexes any number of formulas over one
 //! stream: segmentation, the solves of each segment's distinct obligations
-//! (see section 2), the shared worker arena (pipelined path) and GC epochs
-//! are all shared; pending sets, verdicts and integrity tags stay
-//! per-query. A query whose pending set shares every obligation with
-//! another costs no solver work of its own, so its solver counters are not
-//! counted twice either: on the sequential path, [`StreamReport::stats`] of
-//! K identical queries equals that of one.
+//! (see section 2), the worker arenas (pipelined path) and GC epochs are
+//! all shared; pending sets, verdicts and integrity tags stay per-query. A
+//! query whose pending set shares every obligation with another costs no
+//! solver work of its own, so its solver counters are not counted twice
+//! either: on either path, [`StreamReport::stats`] of K identical queries
+//! equals that of one.
 //!
 //! # Wire ingestion
 //!
@@ -270,9 +273,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-// Every lock acquisition and invariant in non-test runtime code must state
-// its recovery story instead of unwrapping: panics are supposed to be
-// *contained* here, not propagated (see section 5 of the crate docs).
+// Every invariant in non-test runtime code must state its recovery story
+// instead of unwrapping: panics are supposed to be *contained* here, not
+// propagated (see section 5 of the crate docs).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;

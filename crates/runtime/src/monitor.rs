@@ -5,7 +5,7 @@ use crate::checkpoint::{
     decode_monitor, encode_monitor, epochs_newest_first, write_epoch, CheckpointError,
     MonitorCounters, MonitorImage, QueryImage,
 };
-use crate::pipeline::run_pipeline;
+use crate::pipeline::{run_worker, solve_segment, WorkerOutcome};
 use crate::telemetry::RuntimeMetrics;
 use crate::{RuntimeHealth, StreamConfig};
 use rvmtl_distrib::{
@@ -14,14 +14,13 @@ use rvmtl_distrib::{
 use rvmtl_monitor::{Integrity, Verdict, VerdictSet};
 use rvmtl_mtl::hashing::FxHashMap;
 use rvmtl_mtl::{
-    ArenaMemory, ArenaOps, Formula, FormulaId, Interner, ShardedInterner, ShiftedId, State,
+    ArenaMemory, ArenaOps, CacheStats, Formula, FormulaId, Interner, ShiftedId, State,
 };
 use rvmtl_obs::{FlightKind, FlightRecorder, Stopwatch, TelemetrySnapshot};
-use rvmtl_solver::{SegmentSolver, SolverStats};
+use rvmtl_solver::SolverStats;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -191,10 +190,10 @@ pub struct StreamMonitor {
     /// The query-spanning arena every pending formula lives in between
     /// stages; compacted at GC epochs.
     arena: Interner,
-    /// The worker arena of the pipelined path, shared (with its progression
-    /// caches) across every worker, segment, and query of an epoch; reset at
-    /// GC epochs.
-    shared: ShardedInterner,
+    /// The pipelined path's private worker arenas, one per worker a batch
+    /// has used so far (none on the sequential path). They keep their nodes
+    /// and progression caches across batches and are emptied at GC epochs.
+    worker_arenas: Vec<Interner>,
     queries: Vec<QueryState>,
     queue: VecDeque<QueuedSegment>,
     segments_processed: usize,
@@ -256,7 +255,7 @@ impl StreamMonitor {
             config,
             segmenter,
             arena: Interner::new(),
-            shared: ShardedInterner::new(),
+            worker_arenas: Vec::new(),
             queries: Vec::new(),
             queue: VecDeque::new(),
             segments_processed: 0,
@@ -562,15 +561,28 @@ impl StreamMonitor {
         self.stats.for_each_field(|name, value| {
             snap.push_counter(format!("rvmtl_solver_{name}_total"), "", value as u64);
         });
-        for (arena, stats) in [
-            ("query", self.arena.cache_stats()),
-            ("worker", self.shared.cache_stats()),
-        ] {
+        // The `worker` series sum over the pipelined path's worker arenas.
+        let arenas = [
+            ("query", std::slice::from_ref(&self.arena)),
+            ("worker", self.worker_arenas.as_slice()),
+        ];
+        for (arena, members) in arenas {
             let labels = format!("arena=\"{arena}\"");
-            snap.push_counter("rvmtl_one_cache_hits_total", &labels, stats.one_hits);
-            snap.push_counter("rvmtl_one_cache_misses_total", &labels, stats.one_misses);
-            snap.push_counter("rvmtl_gap_cache_hits_total", &labels, stats.gap_hits);
-            snap.push_counter("rvmtl_gap_cache_misses_total", &labels, stats.gap_misses);
+            let tally = |field: fn(&CacheStats) -> u64| {
+                members.iter().map(|a| field(&a.cache_stats())).sum::<u64>()
+            };
+            snap.push_counter("rvmtl_one_cache_hits_total", &labels, tally(|s| s.one_hits));
+            snap.push_counter(
+                "rvmtl_one_cache_misses_total",
+                &labels,
+                tally(|s| s.one_misses),
+            );
+            snap.push_counter("rvmtl_gap_cache_hits_total", &labels, tally(|s| s.gap_hits));
+            snap.push_counter(
+                "rvmtl_gap_cache_misses_total",
+                &labels,
+                tally(|s| s.gap_misses),
+            );
         }
         snap.push_counter(
             "rvmtl_flight_events_recorded_total",
@@ -589,22 +601,22 @@ impl StreamMonitor {
             "",
             i64::try_from(self.segmenter.open_span()).unwrap_or(i64::MAX),
         );
-        for (arena, memory) in [
-            ("query", self.arena.memory()),
-            ("worker", self.shared.memory()),
-        ] {
+        for (arena, members) in arenas {
             let labels = format!("arena=\"{arena}\"");
-            snap.push_gauge("rvmtl_arena_nodes", &labels, memory.nodes as i64);
-            snap.push_gauge("rvmtl_arena_states", &labels, memory.states as i64);
+            let size = |field: fn(&ArenaMemory) -> usize| {
+                members.iter().map(|a| field(&a.memory())).sum::<usize>() as i64
+            };
+            snap.push_gauge("rvmtl_arena_nodes", &labels, size(|m| m.nodes));
+            snap.push_gauge("rvmtl_arena_states", &labels, size(|m| m.states));
             snap.push_gauge(
                 "rvmtl_arena_one_cache_entries",
                 &labels,
-                memory.one_cache_entries as i64,
+                size(|m| m.one_cache_entries),
             );
             snap.push_gauge(
                 "rvmtl_arena_gap_cache_entries",
                 &labels,
-                memory.gap_cache_entries as i64,
+                size(|m| m.gap_cache_entries),
             );
         }
         for (index, query) in self.queries.iter().enumerate() {
@@ -812,7 +824,7 @@ impl StreamMonitor {
         }
     }
 
-    /// Sequential stage execution: one [`SegmentSolver`] per segment, and
+    /// Sequential stage execution: one [`solve_segment`] step per segment,
     /// one solve per *distinct* pending obligation of the queries observing
     /// it — shift-normal pendings make a shared obligation one
     /// [`ShiftedId`], so queries carrying it (and every settled query's
@@ -844,32 +856,25 @@ impl StreamMonitor {
                 let psi = ArenaOps::materialize(&mut self.arena, s);
                 scratch.seeds.push(psi);
             }
-            let mut solver = SegmentSolver::new(&comp, next_anchor, &mut self.arena);
-            if let Some(l) = self.config.max_solutions_per_segment {
-                solver = solver.with_limit(l);
-            }
-            for &psi in &scratch.seeds {
-                // Isolate the solve exactly like the pipelined path: a
-                // panicking obligation is lost (for every query holding it,
-                // reported inconclusive) while every other obligation
-                // proceeds.
-                let item_timer = enabled.then(Stopwatch::start);
-                let solved = match catch_unwind(AssertUnwindSafe(|| solver.progress(psi))) {
-                    Ok(result) => {
-                        self.stats.absorb(&result.stats);
+            // A panicking obligation is lost (for every query holding it,
+            // reported inconclusive) while every other obligation proceeds.
+            solve_segment(
+                &mut self.arena,
+                (&comp, next_anchor),
+                self.config.max_solutions_per_segment,
+                &scratch.seeds,
+                &mut self.stats,
+                &self.metrics.work_item,
+                |solved| {
+                    let range = solved.map(|formulas| {
                         let start = scratch.rewrites.len();
-                        let plain = result.formulas.into_iter().map(ShiftedId::unshifted);
+                        let plain = formulas.into_iter().map(ShiftedId::unshifted);
                         scratch.rewrites.extend(plain);
-                        Some(start..scratch.rewrites.len())
-                    }
-                    Err(_) => None,
-                };
-                scratch.solved.push(solved);
-                if let Some(timer) = item_timer {
-                    self.metrics.work_item.record(timer.elapsed_nanos());
-                }
-            }
-            drop(solver);
+                        start..scratch.rewrites.len()
+                    });
+                    scratch.solved.push(range);
+                },
+            );
             if let Some(timer) = segment_timer {
                 self.metrics.segment_solve.record(timer.elapsed_nanos());
             }
@@ -909,106 +914,134 @@ impl StreamMonitor {
         }
     }
 
-    /// Pipelined stage execution over the shared sharded arena. Queries
-    /// with the same entry segment and pending set form one *class*, and
-    /// the pipeline progresses classes, not queries: every settled query of
-    /// a batch shares the class of its ⊤/⊥ set. Pending ids are remapped
-    /// between the query-spanning arena and the worker arena at the batch
-    /// boundaries (structural re-interning — cheap, since both arenas
-    /// hash-cons), once per distinct obligation in each direction. A query
-    /// anchored mid-batch enters the pipeline at the first segment of its
-    /// boundary; a query anchored after the batch is left out of it.
+    /// Pipelined stage execution on private worker arenas. A *unit* is one
+    /// distinct `(entry segment, pending obligation)` pair of the queries
+    /// observing the batch, in first-seen order (query order, then pending
+    /// order); a query anchored mid-batch enters at the first segment of its
+    /// boundary, and a query anchored after the batch is left out of it.
+    /// Units are dealt round-robin to `min(workers, units)` scoped threads,
+    /// each advancing its share through the batch in its own [`Interner`]
+    /// (see [`run_worker`]). Each worker's distinct results are re-interned
+    /// into the query arena once, and a query's new pending set is the
+    /// union of its units' results.
     fn process_pipelined(&mut self, batch: Vec<QueuedSegment>, workers: usize) {
         let segments: Vec<(DistributedComputation, u64)> =
             batch.into_iter().map(|s| (s.comp, s.next_anchor)).collect();
-        let mut class_of: Vec<Option<usize>> = Vec::with_capacity(self.queries.len());
-        // Per class: its entry segment and the first query holding it.
-        let mut classes: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut index: FxHashMap<(usize, &BTreeSet<ShiftedId>), usize> = FxHashMap::default();
-            for (qi, query) in self.queries.iter().enumerate() {
-                let entry = segments
-                    .iter()
-                    .position(|(comp, _)| comp.base_time() >= query.anchored_at);
-                class_of.push(entry.map(|entry| {
-                    *index.entry((entry, &query.pending)).or_insert_with(|| {
-                        classes.push((entry, qi));
-                        classes.len() - 1
-                    })
-                }));
+        let mut index: FxHashMap<(usize, ShiftedId), usize> = FxHashMap::default();
+        let mut units: Vec<(usize, ShiftedId)> = Vec::new();
+        // Per observing query in order, the unit of each pending obligation.
+        let mut slots: Vec<usize> = Vec::new();
+        let mut observing: Vec<bool> = Vec::with_capacity(self.queries.len());
+        for query in &self.queries {
+            let entry = segments
+                .iter()
+                .position(|(comp, _)| comp.base_time() >= query.anchored_at);
+            observing.push(entry.is_some());
+            let Some(entry) = entry else {
+                continue;
+            };
+            for &s in &query.pending {
+                let next = units.len();
+                let slot = *index.entry((entry, s)).or_insert(next);
+                if slot == next {
+                    units.push((entry, s));
+                }
+                slots.push(slot);
             }
         }
-        let mut to_worker: FxHashMap<ShiftedId, FormulaId> = FxHashMap::default();
-        let seeds: Vec<Vec<FormulaId>> = classes
-            .iter()
-            .map(|&(_, qi)| {
-                self.queries[qi]
-                    .pending
-                    .iter()
-                    .map(|&s| {
-                        *to_worker.entry(s).or_insert_with(|| {
-                            self.shared
-                                .intern(&ArenaOps::resolve_shifted(&self.arena, s))
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        let entries: Vec<usize> = classes.iter().map(|&(entry, _)| entry).collect();
+        let dealt = workers.min(units.len());
+        if dealt == 0 {
+            return; // Every observing query has lost all its obligations.
+        }
+        if self.worker_arenas.len() < dealt {
+            self.worker_arenas.resize_with(dealt, Interner::new);
+        }
+        // Unit `u` goes to worker `u % dealt`. Its seed is resolved out of
+        // the query arena here, on the monitor thread: an `Interner` is
+        // `!Sync`, so workers never see the query arena.
+        let mut shares: Vec<Vec<(usize, FormulaId)>> = vec![Vec::new(); dealt];
+        for (u, &(entry, s)) in units.iter().enumerate() {
+            let phi = ArenaOps::resolve_shifted(&self.arena, s);
+            let seed = self.worker_arenas[u % dealt].intern(&phi);
+            shares[u % dealt].push((entry, seed));
+        }
+        let limit = self.config.max_solutions_per_segment;
+        let work_item = &self.metrics.work_item;
         let wall_timer = self.metrics.is_enabled().then(Stopwatch::start);
-        let outcome = run_pipeline(
-            &segments,
-            &seeds,
-            &entries,
-            &self.shared,
-            workers,
-            self.config.max_solutions_per_segment,
-            &self.metrics.pipeline_slice(),
-        );
+        let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .worker_arenas
+                .iter_mut()
+                .zip(&shares)
+                .map(|(arena, share)| {
+                    let segments = &segments;
+                    scope.spawn(move || run_worker(arena, segments, share, limit, work_item))
+                })
+                .collect();
+            // Solve panics are caught inside the worker; a join error is a
+            // defect of the worker loop itself, re-raised here rather than
+            // silently dropping the worker's obligations.
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|e| std::panic::resume_unwind(e))
+                })
+                .collect()
+        });
         if let Some(timer) = wall_timer {
             self.metrics.pipeline_wall.add(timer.elapsed_nanos());
         }
-        self.stats.absorb(&outcome.stats);
-        // Resolve lost obligations out of the worker arena *now*: a GC epoch
-        // at the end of this batch clears the worker arena wholesale.
-        let lost: Vec<(usize, Formula)> = outcome
-            .lost
-            .into_iter()
-            .map(|(class, psi)| (class, self.shared.resolve(psi)))
-            .collect();
-        let mut to_query: FxHashMap<FormulaId, ShiftedId> = FxHashMap::default();
-        let outs: Vec<BTreeSet<ShiftedId>> = outcome
-            .outs
-            .into_iter()
-            .map(|out| {
-                out.into_iter()
+        let mut outs: Vec<BTreeSet<ShiftedId>> = vec![BTreeSet::new(); units.len()];
+        let mut lost: Vec<Vec<(usize, Formula)>> = vec![Vec::new(); units.len()];
+        for (k, (outcome, arena)) in outcomes.into_iter().zip(&self.worker_arenas).enumerate() {
+            self.stats.absorb(&outcome.stats);
+            self.metrics.pipeline_busy.add(outcome.busy);
+            let mut to_query: FxHashMap<FormulaId, ShiftedId> = FxHashMap::default();
+            for (j, (out, gone)) in outcome.outs.into_iter().zip(outcome.lost).enumerate() {
+                let u = j * dealt + k;
+                outs[u] = out
+                    .into_iter()
                     .map(|psi| {
                         *to_query.entry(psi).or_insert_with(|| {
-                            let id = self.arena.intern(&self.shared.resolve(psi));
+                            let id = self.arena.intern(&arena.resolve(psi));
                             ArenaOps::normalize(&self.arena, id)
                         })
                     })
-                    .collect()
-            })
-            .collect();
-        for (query, class) in self.queries.iter_mut().zip(class_of) {
-            let Some(class) = class else {
-                continue; // The query saw no segment of this batch.
-            };
-            for (_, phi) in lost.iter().filter(|(c, _)| *c == class) {
+                    .collect();
+                // Resolved now: the next GC epoch empties the worker arena.
+                lost[u] = gone
+                    .into_iter()
+                    .map(|(segment, psi)| (segment, arena.resolve(psi)))
+                    .collect();
+            }
+        }
+        let mut cursor = 0;
+        for (query, _) in self.queries.iter_mut().zip(observing).filter(|(_, o)| *o) {
+            let mine = &slots[cursor..cursor + query.pending.len()];
+            cursor += mine.len();
+            let mut pending = BTreeSet::new();
+            // A formula lost at one segment by several of the query's units
+            // is one lost obligation of the query.
+            let mut gone: BTreeSet<&(usize, Formula)> = BTreeSet::new();
+            for &u in mine {
+                pending.extend(outs[u].iter().copied());
+                gone.extend(&lost[u]);
+            }
+            for (_, phi) in &gone {
                 query.lost.insert(phi.clone());
-                query.panics += 1;
-                self.worker_panics += 1;
             }
-            if query.pending != outs[class] {
-                query.pending = outs[class].clone();
-            }
+            query.panics += gone.len() as u64;
+            self.worker_panics += gone.len() as u64;
+            query.pending = pending;
         }
     }
 
     /// One GC epoch: mark-and-renumber the query-spanning arena over the live
-    /// pending sets and reset the worker arena (its caches re-warm from the
-    /// live formulas on the next batch).
+    /// pending sets and empty the worker arenas (no worker formula outlives
+    /// its batch; their caches re-warm on the next batch, and their hit/miss
+    /// tallies keep accumulating).
     fn collect_garbage(&mut self) {
         // Shift-normal pendings root the GC at canonical residuals only:
         // translates of one obligation cost one root, and the materialised
@@ -1032,7 +1065,9 @@ impl StreamMonitor {
                 })
                 .collect();
         }
-        self.shared.clear();
+        for arena in &mut self.worker_arenas {
+            arena.compact(std::iter::empty());
+        }
         self.since_gc = 0;
         self.gc_runs += 1;
         if self.metrics.flight.is_enabled() {
@@ -1239,10 +1274,9 @@ impl StreamMonitor {
             config,
             segmenter,
             arena,
-            // Restores always target a fresh worker arena: the pipelined
-            // path re-interns pendings structurally per batch, and the old
-            // arena's caches were warmth, not state.
-            shared: ShardedInterner::new(),
+            // Worker arenas are warmth, not state: the pipelined path
+            // re-interns its seeds per batch, so a restore starts without.
+            worker_arenas: Vec::new(),
             queries,
             queue: VecDeque::new(),
             segments_processed: as_usize(counters.segments_processed, "segment count")?,
@@ -1440,5 +1474,50 @@ mod tests {
         let sequential = run(StreamConfig::new(4));
         let pipelined = run(StreamConfig::new(4).pipelined(Some(3)).flush_depth(4));
         assert_eq!(sequential, pipelined);
+    }
+
+    #[test]
+    fn pipelined_runs_repeat_exactly_under_a_solution_limit() {
+        // A solution limit keeps the first rewrites a search finds, so the
+        // kept representatives depend on each worker's solve order and
+        // arena state; both are functions of the feed alone.
+        let specs = [
+            "G[0,inf) (a -> F[0,4) b)",
+            "F[0,10) b",
+            "a U[0,8) b",
+            "G[0,6) !c",
+            "F[2,9) (a & F[0,3) c)",
+        ];
+        let run = |config: StreamConfig| {
+            let mut monitor = StreamMonitor::new(3, 2, config);
+            for spec in &specs[..3] {
+                monitor.add_query(&parse(spec).unwrap());
+            }
+            for k in 0..48u64 {
+                if k == 20 {
+                    for spec in &specs[3..] {
+                        monitor.add_query(&parse(spec).unwrap());
+                    }
+                }
+                let label = ["a", "b", "c"][(k % 3) as usize];
+                monitor
+                    .observe((k % 3) as usize, 1 + k, state![label])
+                    .unwrap();
+            }
+            monitor.finish()
+        };
+        let config = StreamConfig::new(4)
+            .pipelined(Some(3))
+            .flush_depth(4)
+            .max_solutions(1);
+        let first = run(config.clone());
+        let second = run(config);
+        assert_eq!(first.verdicts, second.verdicts);
+        assert_eq!(first.pending, second.pending);
+        assert_eq!(first.integrity, second.integrity);
+        assert_eq!(first.stats, second.stats);
+        // The limit bites: some solve dropped a rewrite it would have kept.
+        let unlimited = run(StreamConfig::new(4).pipelined(Some(3)).flush_depth(4));
+        assert_ne!(first.pending, unlimited.pending);
     }
 }

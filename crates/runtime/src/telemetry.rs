@@ -34,24 +34,23 @@ pub(crate) struct RuntimeMetrics {
     /// close of the newest segment a query observed in a batch → that
     /// query's pending set updated. Indexed by [`crate::QueryId::index`].
     pub(crate) verdict_latency: Vec<Histogram>,
-    /// GC epoch pause (ns): arena compaction plus worker-arena reset.
+    /// GC epoch pause (ns): query-arena compaction plus emptying the worker
+    /// arenas.
     pub(crate) gc_pause: Histogram,
     /// Checkpoint serialize + write + fsync time (ns).
     pub(crate) checkpoint_write: Histogram,
     /// Wall time of one solve (ns): one sample per distinct obligation
-    /// progressed through a segment — per distinct pending formula on the
-    /// sequential path, per distinct `(segment, formula)` item on the
-    /// pipelined one (result-cache replays record nothing). Queries that
-    /// share an obligation, settled ones included, share its sample.
+    /// progressed through a segment — per distinct pending formula of the
+    /// observing queries on the sequential path, per distinct formula of a
+    /// worker's units on the pipelined one (units dealt to different
+    /// workers may solve the same formula each). Queries that share an
+    /// obligation, settled ones included, share its sample.
     pub(crate) work_item: Histogram,
-    /// Wall time of one same-segment *batch* of work items drained by a
-    /// pipeline worker and solved through a single solver instance (ns) —
-    /// the unit the data-oriented solver core is fed in.
-    pub(crate) segment_batch: Histogram,
-    /// Total nanoseconds pipeline workers spent solving items (summed across
+    /// Total nanoseconds pipeline workers spent in solves (summed across
     /// workers; compare against `pipeline_wall × workers` for idle time).
     pub(crate) pipeline_busy: Counter,
-    /// Total wall nanoseconds spent inside pipelined batch runs.
+    /// Total wall nanoseconds of the pipelined path's worker-pool runs
+    /// (spawn to join).
     pub(crate) pipeline_wall: Counter,
 }
 
@@ -76,7 +75,6 @@ impl RuntimeMetrics {
             gc_pause: registry.histogram("rvmtl_gc_pause_nanos", ""),
             checkpoint_write: registry.histogram("rvmtl_checkpoint_write_nanos", ""),
             work_item: registry.histogram("rvmtl_work_item_nanos", ""),
-            segment_batch: registry.histogram("rvmtl_pipeline_segment_batch_nanos", ""),
             pipeline_busy: registry.counter("rvmtl_pipeline_busy_nanos_total", ""),
             pipeline_wall: registry.counter("rvmtl_pipeline_wall_nanos_total", ""),
             registry,
@@ -98,27 +96,5 @@ impl RuntimeMetrics {
             self.registry
                 .histogram("rvmtl_verdict_latency_nanos", &format!("query=\"{index}\"")),
         );
-    }
-}
-
-/// The pipeline executor's slice of the panel (handed into
-/// [`crate::pipeline::run_pipeline`]; all no-ops when telemetry is off).
-pub(crate) struct PipelineTelemetry {
-    /// Per-solve wall time (ns), one sample per distinct obligation.
-    pub(crate) work_item: Histogram,
-    /// Per same-segment batch wall time (ns).
-    pub(crate) segment_batch: Histogram,
-    /// Summed worker solve nanoseconds.
-    pub(crate) busy: Counter,
-}
-
-impl RuntimeMetrics {
-    /// The executor's slice of the panel.
-    pub(crate) fn pipeline_slice(&self) -> PipelineTelemetry {
-        PipelineTelemetry {
-            work_item: self.work_item.clone(),
-            segment_batch: self.segment_batch.clone(),
-            busy: self.pipeline_busy.clone(),
-        }
     }
 }

@@ -7,7 +7,7 @@
 //!   boundary is verdict-identical (and pending/integrity/health-identical)
 //!   to the uninterrupted run, across the sequential, pipelined and
 //!   gc-every-segment paths × Strict/Dedup/BestEffort — including restores
-//!   into a fresh sharded worker arena on the pipelined path;
+//!   that start the pipelined path without worker arenas;
 //! * a snapshot truncated or bit-flipped at any byte never panics the
 //!   restore — it always fails with a [`CheckpointError`];
 //! * on disk, a corrupt newest epoch falls back to the retained previous
@@ -98,8 +98,8 @@ fn run_uninterrupted(events: &[StreamEvent], config: StreamConfig) -> StreamRepo
 /// Runs `events` through a monitor that is serialized and restored from its
 /// own checkpoint bytes at every processing / GC boundary (and once more at
 /// the very start and right before `finish`). Each restore rebuilds a fresh
-/// query-spanning arena via the remap table and a fresh sharded worker
-/// arena.
+/// query-spanning arena via the remap table and starts without worker
+/// arenas.
 fn run_with_restarts(events: &[StreamEvent], config: StreamConfig) -> (StreamReport, usize) {
     let mut monitor = StreamMonitor::new(2, 1, config.clone());
     for phi in &queries() {

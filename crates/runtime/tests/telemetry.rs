@@ -103,7 +103,8 @@ fn count_metrics_and_flight_sequence_match_across_paths() {
 fn cache_and_solver_counters_repeat_exactly_on_the_same_path() {
     // Within one execution path *every* count-shape metric is deterministic,
     // including the progression-cache hit/miss tallies and solver counters
-    // the cross-path test must exclude.
+    // the cross-path test must exclude — on the pipelined path too, whose
+    // workers own private arenas.
     let strip_timing = |snap: &TelemetrySnapshot| -> Vec<(String, u64)> {
         snap.counters
             .iter()
@@ -111,16 +112,79 @@ fn cache_and_solver_counters_repeat_exactly_on_the_same_path() {
             .map(|c| (format!("{}{{{}}}", c.name, c.labels), c.value))
             .collect()
     };
-    let a = run(StreamConfig::new(5).gc_interval(3).with_telemetry());
-    let b = run(StreamConfig::new(5).gc_interval(3).with_telemetry());
-    assert_eq!(strip_timing(&a.0.telemetry), strip_timing(&b.0.telemetry));
-    assert!(a
-        .0
-        .telemetry
-        .counter("rvmtl_one_cache_hits_total")
-        .is_some());
     let gauges = |snap: &TelemetrySnapshot| snap.gauges.clone();
-    assert_eq!(gauges(&a.0.telemetry), gauges(&b.0.telemetry));
+    for config in [
+        StreamConfig::new(5).gc_interval(3).with_telemetry(),
+        StreamConfig::new(5)
+            .gc_interval(3)
+            .pipelined(Some(3))
+            .flush_depth(4)
+            .with_telemetry(),
+    ] {
+        let a = run(config.clone());
+        let b = run(config);
+        assert_eq!(strip_timing(&a.0.telemetry), strip_timing(&b.0.telemetry));
+        assert_eq!(a.0.stats, b.0.stats);
+        assert!(a
+            .0
+            .telemetry
+            .counter("rvmtl_one_cache_hits_total")
+            .is_some());
+        assert_eq!(gauges(&a.0.telemetry), gauges(&b.0.telemetry));
+    }
+}
+
+#[test]
+fn worker_cache_tallies_stay_monotone_across_gc() {
+    // GC empties the worker arenas every batch here; their cumulative
+    // hit/miss tallies must survive it, as the query arena's do.
+    const COUNTERS: [&str; 4] = [
+        "rvmtl_one_cache_hits_total",
+        "rvmtl_one_cache_misses_total",
+        "rvmtl_gap_cache_hits_total",
+        "rvmtl_gap_cache_misses_total",
+    ];
+    let worker_tallies = |monitor: &StreamMonitor| -> Vec<u64> {
+        let snap = monitor.telemetry();
+        COUNTERS
+            .iter()
+            .map(|name| {
+                snap.counters
+                    .iter()
+                    .find(|c| c.name == *name && c.labels == "arena=\"worker\"")
+                    .unwrap_or_else(|| panic!("{name}{{arena=\"worker\"}} must be bridged"))
+                    .value
+            })
+            .collect()
+    };
+    let config = StreamConfig::new(5)
+        .gc_interval(1)
+        .pipelined(Some(2))
+        .flush_depth(2);
+    let mut monitor = StreamMonitor::new(2, 1, config);
+    monitor.add_query(&rvmtl_mtl::parse("G[0,inf) (a -> F[0,4) b)").unwrap());
+    monitor.add_query(&rvmtl_mtl::parse("F[0,50) a").unwrap());
+    let mut last = worker_tallies(&monitor);
+    let mut batches = 0;
+    for (p, t, s) in feed() {
+        let processed = monitor.segments_processed();
+        monitor.observe(p, t, s).unwrap();
+        if monitor.segments_processed() == processed {
+            continue;
+        }
+        batches += 1;
+        let now = worker_tallies(&monitor);
+        for (name, (before, after)) in COUNTERS.iter().zip(last.iter().zip(&now)) {
+            assert!(after >= before, "{name} fell from {before} to {after}");
+        }
+        last = now;
+    }
+    assert!(monitor.gc_runs() > 3, "GC must have cycled");
+    assert!(batches > 3, "the feed must drain several batches");
+    assert!(
+        last.iter().all(|&tally| tally > 0),
+        "every worker cache must have been probed: {last:?}"
+    );
 }
 
 #[test]

@@ -87,9 +87,8 @@
 //!    nothing, keeping the memo free of partial sets. Per-cut derived data
 //!    (`enabled()`, the interned frontier state, the earliest enabled window
 //!    start) is cached by cut rank and shared by all formulas and time
-//!    assignments passing through the cut; the whole bundle is extractable
-//!    as [`SegmentCaches`] so several solvers of one segment (the streaming
-//!    runtime's pipeline work items) continue from each other's tables.
+//!    assignments passing through the cut, and lives as long as the
+//!    [`SegmentSolver`], which serves every pending formula of its segment.
 //!
 //! # Shift-normal zones
 //!
@@ -185,14 +184,14 @@
 //!   cut rank therefore live contiguously and are activated by index, with
 //!   no per-child allocation: cuts are rewritten in place per depth
 //!   ([`rvmtl_distrib::Cut::extended_into`]), and frames/cut/scratch buffers
-//!   are pooled in [`SegmentCaches`] across every progression of a segment.
+//!   are pooled in the [`SegmentSolver`] across every progression of a
+//!   segment.
 //! * **Batched cache probes.** The per-tick progression-cache lookups of a
 //!   window are issued as *one* contiguous walk per `(node, event)` batch
 //!   ([`rvmtl_mtl::ArenaOps::progress_one_over_batched`] /
 //!   [`rvmtl_mtl::ArenaOps::progress_gap_over_batched`]): keys for the whole
-//!   window are packed first, probed together (on the sharded arena a run of
-//!   same-shard keys takes the shard lock once instead of once per tick),
-//!   and the misses are resolved together afterwards. Within one batch all
+//!   window are packed first, probed together, and the misses are resolved
+//!   together afterwards. Within one batch all
 //!   packed keys are distinct — the shift-relative key coordinate strictly
 //!   increases across the run and the horizon clamp is reached only at the
 //!   final tick — so probe-all-then-resolve observes exactly the hit/miss
@@ -242,6 +241,5 @@ mod progression;
 pub use instance::{CheckResult, Model, SolverInstance};
 pub use progression::{
     distinct_progressions, exists_verdict, finalize, possible_verdicts, ExploreEngine,
-    InternedProgression, ProgressionQuery, ProgressionResult, SegmentCaches, SegmentSolver,
-    SolverStats,
+    InternedProgression, ProgressionQuery, ProgressionResult, SegmentSolver, SolverStats,
 };

@@ -93,6 +93,7 @@ fn hash_of<K: Hash>(key: &K) -> u64 {
 
 impl<K: Hash + Eq, V> MemoTable<K, V> {
     /// Number of entries.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -173,7 +174,8 @@ impl<K: Hash + Eq, V> MemoTable<K, V> {
         self.insert(key, value);
     }
 
-    /// Consumes the table, yielding every entry (for cache absorption).
+    /// Consumes the table, yielding every entry.
+    #[cfg(test)]
     pub(crate) fn into_entries(self) -> impl Iterator<Item = (K, V)> {
         self.slots.into_iter().flatten()
     }

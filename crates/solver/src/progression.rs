@@ -291,11 +291,10 @@ pub struct InternedProgression {
 /// alive across all segments of a query, so the stable parts of the
 /// specification are interned exactly once.
 ///
-/// The solver is generic over [`ArenaOps`]: the sequential monitor path hands
-/// it an exclusive `&mut Interner`, while parallel paths hand each worker a
-/// shared `&ShardedInterner` handle — one solver code path for both (the
-/// worker-local memo tables stay private to the solver; only the arena and
-/// its progression caches are shared).
+/// The solver is generic over [`ArenaOps`] and borrows its arena exclusively;
+/// the streaming runtime's pipelined path gives each worker an [`Interner`]
+/// of its own, so the arena, its progression caches and the solver's memo
+/// tables are all private to one thread.
 pub struct SegmentSolver<'a, 'i, A: ArenaOps = Interner> {
     engine: Engine<'a, 'i, A>,
 }
@@ -307,27 +306,6 @@ impl<'a, 'i, A: ArenaOps> SegmentSolver<'a, 'i, A> {
         SegmentSolver {
             engine: Engine::new(comp, next_anchor, usize::MAX, interner),
         }
-    }
-
-    /// [`SegmentSolver::new`] continuing from the caches of an earlier solver
-    /// of the *same* segment over the *same* arena (see [`SegmentCaches`]).
-    /// The pipeline workers of the streaming runtime use this to stop
-    /// rebuilding the memo per `(query, segment, formula)` work item.
-    pub fn with_caches(
-        comp: &'a DistributedComputation,
-        next_anchor: u64,
-        interner: &'i mut A,
-        caches: SegmentCaches,
-    ) -> Self {
-        SegmentSolver {
-            engine: Engine::with_caches(comp, next_anchor, usize::MAX, interner, caches),
-        }
-    }
-
-    /// Extracts the per-segment caches for reuse by a later solver of the
-    /// same segment.
-    pub fn into_caches(self) -> SegmentCaches {
-        self.engine.caches
     }
 
     /// Limits the number of distinct rewritten formulas per
@@ -374,10 +352,9 @@ impl<'a, 'i, A: ArenaOps> SegmentSolver<'a, 'i, A> {
 
     /// Deterministic failure injection for the `test-panic` feature: a
     /// pending formula mentioning the reserved `__panic__` atom panics at
-    /// progression entry — crucially *before* any shard of a shared arena is
-    /// locked, so the panic never poisons state other queries depend on —
-    /// letting the runtime's panic-isolation path be driven from tests
-    /// without unsafe hooks or extra dependencies.
+    /// progression entry — before the search touches the arena or the
+    /// caches — letting the runtime's panic-isolation path be driven from
+    /// tests without unsafe hooks or extra dependencies.
     #[cfg(feature = "test-panic")]
     fn panic_if_marked(&self, psi: FormulaId) {
         let phi = ArenaOps::resolve(&*self.engine.interner, psi);
@@ -438,25 +415,14 @@ type NodeKey = (u128, u64, FormulaId);
 
 /// The per-segment solver caches: the search memo, the feasibility cache,
 /// the per-cut `enabled`/`frontier`/earliest-window caches and the cut
-/// ranker.
-///
-/// Extracted from the engine so callers that progress *many* pending
-/// formulas through the same segment — most importantly the streaming
-/// runtime's pipeline workers, which receive one `(query, segment, formula)`
-/// work item at a time — can carry the caches from one [`SegmentSolver`] to
-/// the next with [`SegmentSolver::with_caches`] /
-/// [`SegmentSolver::into_caches`] instead of rebuilding them per work item.
-/// All contained state is deterministic for a given computation (memo
-/// entries are complete contribution sets, ranks are mixed-radix), so two
-/// instances built independently can be merged with
-/// [`SegmentCaches::absorb`].
-pub struct SegmentCaches {
+/// ranker, shared by every pending formula a [`SegmentSolver`] progresses
+/// through its segment.
+struct SegmentCaches {
     /// Maps cuts to unique ranks (see [`CutRanker`]).
     ranker: CutRanker,
     /// Contribution sets per node, stored as sorted deduplicated boxed
     /// slices (the sets are tiny for most nodes; a flat slice beats a tree
-    /// set on both build and replay, and `Box` keeps the caches `Send` so
-    /// pipeline workers can hand them around). The open-addressed
+    /// set on both build and replay). The open-addressed
     /// [`MemoTable`] folds the activation lookup and the completion insert
     /// into a single hash walk per node via staged slots.
     memo: MemoTable<NodeKey, Box<[FormulaId]>>,
@@ -471,7 +437,7 @@ pub struct SegmentCaches {
     /// without changing its children (see [`Engine::canonical_node`]).
     min_lo_cache: FxHashMap<u128, u64>,
     /// Key/result buffers of the batched probe splitters, pooled across
-    /// every progression of the segment (scratch, never merged by `absorb`).
+    /// every progression of the segment (scratch).
     probe: ProbeScratch,
     /// Residual ranges of the event currently being progressed (scratch).
     splits: Vec<SplitRange>,
@@ -481,7 +447,7 @@ pub struct SegmentCaches {
 
 impl SegmentCaches {
     /// Fresh caches for one segment.
-    pub fn new(comp: &DistributedComputation) -> Self {
+    fn new(comp: &DistributedComputation) -> Self {
         SegmentCaches {
             ranker: CutRanker::new(comp),
             memo: MemoTable::default(),
@@ -493,32 +459,6 @@ impl SegmentCaches {
             splits: Vec::new(),
             stack: StackScratch::default(),
         }
-    }
-
-    /// Merges another instance built for the *same segment over the same
-    /// arena* into this one. With mixed-radix ranks every key is globally
-    /// deterministic, so the union is exact; in the interned-rank fallback
-    /// (astronomically large lattices) the two instances may have assigned
-    /// ranks differently and `other` is discarded instead.
-    pub fn absorb(&mut self, other: SegmentCaches) {
-        if !matches!(self.ranker, CutRanker::Strides(_))
-            || !matches!(other.ranker, CutRanker::Strides(_))
-        {
-            return;
-        }
-        for (key, value) in other.memo.into_entries() {
-            self.memo.insert(key, value);
-        }
-        self.feasibility.extend(other.feasibility);
-        self.enabled_cache.extend(other.enabled_cache);
-        self.frontier_cache.extend(other.frontier_cache);
-        self.min_lo_cache.extend(other.min_lo_cache);
-        // `other`'s probe/splits/stack scratch carries no results — dropped.
-    }
-
-    /// Number of memoised search nodes (diagnostic).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
     }
 }
 
@@ -691,8 +631,7 @@ struct Engine<'a, 'i, A: ArenaOps> {
     /// Hash-consed formula arena, borrowed from the caller so it can span
     /// several segments (and every pending formula of each).
     interner: &'i mut A,
-    /// The per-segment caches (memo, feasibility, per-cut tables, ranker) —
-    /// extractable so callers can share them across solvers of one segment.
+    /// The per-segment caches (memo, feasibility, per-cut tables, ranker).
     caches: SegmentCaches,
     stats: SolverStats,
     found: BTreeSet<FormulaId>,
@@ -711,22 +650,12 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
         limit: usize,
         interner: &'i mut A,
     ) -> Self {
-        Engine::with_caches(comp, next_anchor, limit, interner, SegmentCaches::new(comp))
-    }
-
-    fn with_caches(
-        comp: &'a DistributedComputation,
-        next_anchor: u64,
-        limit: usize,
-        interner: &'i mut A,
-        caches: SegmentCaches,
-    ) -> Self {
         Engine {
             comp,
             next_anchor,
             limit,
             interner,
-            caches,
+            caches: SegmentCaches::new(comp),
             stats: SolverStats::default(),
             found: BTreeSet::new(),
             mode: ExploreEngine::default(),

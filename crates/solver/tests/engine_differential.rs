@@ -4,20 +4,18 @@
 //! (including the batch counters, which both engines account at the same
 //! program points) — on every input. The suites sweep the whole ε axis
 //! (1..=8), the delayed-window regime where the shift-normal zone machinery
-//! fires, the shift-free class and the ε = 16 saturation fixtures, over both
-//! the sequential [`Interner`] and the concurrent [`ShardedInterner`] arenas.
+//! fires, the shift-free class and the ε = 16 saturation fixtures.
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig, PROPS};
-use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner, ShardedInterner};
+use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner};
 use rvmtl_prng::StdRng;
 use rvmtl_solver::{ExploreEngine, SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
 
 /// Runs `phi` through a fresh solver over `arena` under the given engine.
 /// Returns the full stats, the rewritten-formula ids (order-preserving, so
-/// same-arena-type comparisons also pin emission order), and the verdict set
-/// (comparable across arena representations).
+/// comparisons also pin emission order), and the verdict set.
 fn solve(
     arena: &mut impl ArenaOps,
     comp: &DistributedComputation,
@@ -186,13 +184,10 @@ fn engines_agree_on_delayed_window_suite() {
 }
 
 /// PRNG-generated shift-free specifications (window starts all at zero; the
-/// arena watermark must stay down) on the Fig. 3-shaped fixture, over *both*
-/// arena representations: plain vs plain compares full stats and id-level
-/// rewrites per engine; sharded vs plain additionally pins that the engine
-/// choice commutes with the arena representation (same stats, same
-/// verdicts).
+/// arena watermark must stay down) on the Fig. 3-shaped fixture: full stats
+/// and id-level rewrites per engine.
 #[test]
-fn engines_agree_on_shift_free_suite_both_arenas() {
+fn engines_agree_on_shift_free_suite() {
     let mut rng = StdRng::seed_from_u64(0xE9D3);
     let cfg = GenConfig::default();
     let mut formulas = Vec::new();
@@ -212,27 +207,7 @@ fn engines_agree_on_shift_free_suite_both_arenas() {
         b.event(1, 5, state!["b"]);
         let comp = b.build().expect("fixture is valid");
         for phi in &formulas {
-            let plain_stats =
-                assert_engines_agree(&comp, phi, None, &format!("ε = {epsilon}, formula {phi}"));
-
-            let sharded = ShardedInterner::new();
-            let mut handle = &sharded;
-            let sharded_stack = solve(&mut handle, &comp, phi, ExploreEngine::WorkStack, None);
-            let sharded_ref = solve(&mut handle, &comp, phi, ExploreEngine::Reference, None);
-            assert_eq!(
-                plain_stats, sharded_stack.0,
-                "ε = {epsilon}, formula {phi}: plain vs sharded work-stack stats"
-            );
-            // The second run over the same sharded arena is warm, so only
-            // shape-level (cache-independent) counters are comparable.
-            assert_eq!(
-                sharded_stack.0.explored_states, sharded_ref.0.explored_states,
-                "ε = {epsilon}, formula {phi}: warm sharded reference shape"
-            );
-            assert_eq!(
-                sharded_stack.2, sharded_ref.2,
-                "ε = {epsilon}, formula {phi}: sharded verdicts across engines"
-            );
+            assert_engines_agree(&comp, phi, None, &format!("ε = {epsilon}, formula {phi}"));
         }
     }
 }

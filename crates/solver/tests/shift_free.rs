@@ -4,12 +4,12 @@
 //! unrelated delayed-window node) must produce bit-identical [`SolverStats`]
 //! and verdict sets. This pins the tentpole claim of the NodeMeta/watermark
 //! optimisation — it removes the shift-normal tax, it does not change the
-//! search — for both the sequential [`Interner`] and the concurrent
-//! [`ShardedInterner`], on PRNG-generated shift-free specifications.
+//! search — for the [`Interner`], on PRNG-generated shift-free
+//! specifications.
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig};
-use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner, ShardedInterner};
+use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner};
 use rvmtl_prng::StdRng;
 use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
@@ -103,36 +103,6 @@ fn shift_free_fast_path_is_observationally_invisible_sequential() {
                 "phi = {phi}, eps = {epsilon}: verdicts must agree"
             );
         }
-    }
-}
-
-/// Sharded arena: same property through `&ShardedInterner` handles (the
-/// pipelined streaming path), compared against the sequential fast path.
-#[test]
-fn shift_free_fast_path_is_observationally_invisible_sharded() {
-    let formulas = shift_free_formulas(24, 0x54DD);
-    let comp = fixture(2);
-    for phi in &formulas {
-        let mut plain = Interner::new();
-        let fast = solve(&mut plain, &comp, phi);
-
-        let arena = ShardedInterner::new();
-        let mut handle = &arena;
-        let sharded_fast = solve(&mut handle, &comp, phi);
-        assert!(!arena.ever_shifted(), "phi = {phi}");
-
-        let forced = ShardedInterner::new();
-        let mut forced_handle = &forced;
-        trip(&mut forced_handle);
-        let sharded_slow = solve(&mut forced_handle, &comp, phi);
-
-        assert_eq!(fast.0, sharded_fast.0, "phi = {phi}: sequential vs sharded");
-        assert_eq!(
-            sharded_fast.0, sharded_slow.0,
-            "phi = {phi}: sharded fast vs forced zone path"
-        );
-        assert_eq!(fast.1, sharded_fast.1, "phi = {phi}");
-        assert_eq!(sharded_fast.1, sharded_slow.1, "phi = {phi}");
     }
 }
 

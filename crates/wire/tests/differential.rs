@@ -113,52 +113,16 @@ fn run_wire(
     (m.finish(), *source.stats())
 }
 
-fn assert_reports_identical(
-    name: &str,
-    path: &str,
-    pipelined: bool,
-    direct: &StreamReport,
-    wire: &StreamReport,
-) {
+fn assert_reports_identical(name: &str, path: &str, direct: &StreamReport, wire: &StreamReport) {
     assert_eq!(direct.verdicts, wire.verdicts, "{name}/{path}: verdicts");
     assert_eq!(direct.pending, wire.pending, "{name}/{path}: pending");
     assert_eq!(direct.integrity, wire.integrity, "{name}/{path}: integrity");
     assert_eq!(direct.segments, wire.segments, "{name}/{path}: segments");
     assert_eq!(direct.health, wire.health, "{name}/{path}: health");
     assert_eq!(direct.gc_runs, wire.gc_runs, "{name}/{path}: GC epochs");
-    if pipelined {
-        // Worker interleaving makes the explored/memo *split* racy on the
-        // pipelined path (a second worker can re-explore a node the memo
-        // would have answered — two pipelined runs of the *same* in-memory
-        // feed already differ by ±1 here), but the total work and the
-        // sequence-level counters are deterministic. The wire path must not
-        // disturb either.
-        assert_eq!(
-            direct.stats.explored_states + direct.stats.memo_hits,
-            wire.stats.explored_states + wire.stats.memo_hits,
-            "{name}/{path}: explored + memo-answered work"
-        );
-        assert_eq!(
-            direct.stats.completed_sequences, wire.stats.completed_sequences,
-            "{name}/{path}: completed sequences"
-        );
-        assert_eq!(
-            direct.stats.time_splits, wire.stats.time_splits,
-            "{name}/{path}: time splits"
-        );
-        assert_eq!(
-            direct.stats.merged_time_points, wire.stats.merged_time_points,
-            "{name}/{path}: merged time points"
-        );
-        assert_eq!(
-            direct.stats.shift_normalized_nodes, wire.stats.shift_normalized_nodes,
-            "{name}/{path}: shift-normalised nodes"
-        );
-    } else {
-        // The sequential path is fully deterministic: the wire replay must
-        // reproduce every counter exactly.
-        assert_eq!(direct.stats, wire.stats, "{name}/{path}: solver stats");
-    }
+    // Both execution paths are deterministic: the wire replay must
+    // reproduce every solver counter exactly.
+    assert_eq!(direct.stats, wire.stats, "{name}/{path}: solver stats");
 }
 
 #[test]
@@ -171,7 +135,7 @@ fn wire_replay_is_identical_to_direct_ingestion() {
             let path = if pipelined { "pipelined" } else { "sequential" };
             let direct = run_direct(&case, &events, segment_length, pipelined);
             let (wire, stats) = run_wire(&case, &events, segment_length, pipelined);
-            assert_reports_identical(case.name, path, pipelined, &direct, &wire);
+            assert_reports_identical(case.name, path, &direct, &wire);
             assert_eq!(
                 stats.event_frames as usize,
                 events.len(),
@@ -202,7 +166,7 @@ fn rejection_counts_survive_the_wire() {
     let events: Vec<StreamEvent> = faulted.events().cloned().collect();
     let direct = run_direct(&case, &events, segment_length, false);
     let (wire, stats) = run_wire(&case, &events, segment_length, false);
-    assert_reports_identical(case.name, "sequential", false, &direct, &wire);
+    assert_reports_identical(case.name, "sequential", &direct, &wire);
     assert!(stats.rejected > 0, "a 0.5 duplicate rate must reject");
     assert_eq!(stats.rejected, wire.health.rejected);
 }
