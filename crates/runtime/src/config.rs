@@ -13,21 +13,25 @@ pub struct StreamConfig {
     pub base_time: u64,
     /// Process queued closed segments on the pipelined path: each batch's
     /// units — distinct `(entry segment, pending obligation)` pairs — are
-    /// dealt to worker threads with private arenas (see the crate
-    /// documentation, section 2). Requires `workers > 1` to take effect;
-    /// the sequential path is used otherwise.
+    /// dealt to workers with private arenas, the calling thread and the
+    /// monitor's pool threads (see the crate documentation, section 2).
+    /// Requires `workers > 1` to take effect; the sequential path is used
+    /// otherwise.
     pub pipeline: bool,
-    /// Worker-thread count for the pipelined path: a batch runs on at most
-    /// this many threads, one per unit when it has fewer units, and the
-    /// monitor keeps one arena per thread it has used. `None` uses
-    /// [`std::thread::available_parallelism`].
+    /// Worker count for the pipelined path: a batch runs on at most this
+    /// many workers, one per unit when it has fewer units. Worker 0 is the
+    /// calling thread; the monitor spawns a pool thread for each other
+    /// worker the first time a batch deals it a share, keeps it until the
+    /// monitor drops, and keeps one arena per worker it has used. `None`
+    /// uses [`std::thread::available_parallelism`].
     pub workers: Option<usize>,
     /// Number of closed segments to buffer before processing them as one
-    /// batch. On the pipelined path a batch costs one round of thread
-    /// spawns and one re-interning of seeds and results whatever its depth,
-    /// so deeper buffers amortise those over more segments, at the cost of
-    /// verdict latency. Defaults to 1 (process as soon as a segment
-    /// closes).
+    /// batch. On the pipelined path a batch costs one round trip to the
+    /// pool threads and one pass over its units' seeds and results whatever
+    /// its depth (an obligation seen before in the GC epoch crosses arenas
+    /// by lookup), so deeper buffers amortise those over more segments, at
+    /// the cost of verdict latency. Defaults to 1 (process as soon as a
+    /// segment closes).
     pub flush_depth: usize,
     /// Hard bound on the closed-segment queue (backpressure): when an
     /// [`crate::StreamMonitor::observe`] or
@@ -121,8 +125,10 @@ impl StreamConfig {
         self
     }
 
-    /// Enables the pipelined worker pool with the given thread count
-    /// (`None` = [`std::thread::available_parallelism`]).
+    /// Enables the pipelined path with the given worker count (`None` =
+    /// [`std::thread::available_parallelism`]): the calling thread plus
+    /// that many minus one pool threads, spawned by the first batch that
+    /// needs them.
     pub fn pipelined(mut self, workers: Option<usize>) -> Self {
         self.pipeline = true;
         self.workers = workers;

@@ -39,10 +39,14 @@
 //! pending set untouched.
 //!
 //! The pipelined path buffers closed segments up to the configured flush
-//! depth and processes them as one batch on scoped worker threads
-//! (`std::thread::scope`). The paper progresses every pending formula
-//! independently — the next pending set is the union of each obligation's
-//! rewrites — so a batch splits into *units* that share nothing: one unit
+//! depth and processes them as one batch across `workers` workers: the
+//! calling thread and `workers − 1` pool threads the monitor owns. A pool
+//! thread is spawned by the first batch that deals its worker a share, is
+//! fed one job per batch over a channel and is joined when the monitor
+//! drops; constructing or restoring a monitor spawns none. The paper
+//! progresses every pending formula independently — the next pending set
+//! is the union of each obligation's rewrites — so a batch splits into
+//! *units* that share nothing: one unit
 //! is a distinct `(entry segment, pending obligation)` pair of the queries
 //! observing the batch, taken in first-seen order. The units are dealt
 //! round-robin to `min(workers, units)` workers. Each worker advances its
@@ -79,10 +83,15 @@
 //! `!Sync`, and a private arena needs no locks). The worker arenas live in
 //! the monitor across batches, so their nodes and their
 //! `one_cache`/`gap_cache` progression memos carry over from batch to
-//! batch. Seeds are resolved out of the query arena on the monitor thread
-//! and re-interned into their worker's arena; each worker's distinct
-//! results come back into the query arena once per batch (structural
-//! re-interning: both arenas hash-cons, so this is a lookup per node).
+//! batch; a job carries its worker's arena to the pool thread by value and
+//! hands it back with the result. Seeds are resolved out of the query arena
+//! on the monitor thread and re-interned into their worker's arena, and
+//! each worker's distinct results come back into the query arena
+//! (structural re-interning: both arenas hash-cons, so this is a lookup per
+//! node). Both directions are memoised per worker for one GC epoch — query
+//! obligation → worker seed, worker result → normalised query obligation —
+//! since both arenas keep their ids until the next compaction: an
+//! obligation that recurs batch after batch crosses by one hash lookup.
 //!
 //! Pending sets are held in *shift-normal form*
 //! ([`rvmtl_mtl::ShiftedId`]): an obligation is stored as its canonical
@@ -102,9 +111,10 @@
 //! dead observation states and progression-cache entries with a dead
 //! endpoint are reclaimed; surviving entries keep their warmth. The worker
 //! arenas are emptied on the same epochs (compacted over no roots, which
-//! keeps their cumulative cache tallies). Long-running monitoring therefore
-//! holds a bounded arena regardless of stream length — pinned by the GC
-//! tests. Backpressure on the closed-segment queue
+//! keeps their cumulative cache tallies), and their remap memos are
+//! cleared with them. Long-running monitoring therefore holds a bounded
+//! arena regardless of stream length — pinned by the GC tests.
+//! Backpressure on the closed-segment queue
 //! ([`StreamConfig::max_queued_segments`]) bounds the ingestion side the
 //! same way.
 //!
@@ -204,11 +214,12 @@
 //!   per-query verdict latency, GC pause, checkpoint write time and
 //!   per-solve wall time (`rvmtl_work_item_nanos`: one sample per distinct
 //!   obligation a segment step progresses, however many queries hold it),
-//!   plus the pipeline's busy (summed worker solve time) and wall
-//!   counters. These exist
-//!   only under [`StreamConfig::with_telemetry`]; disabled, every
-//!   instrument is a no-op handle and each call site costs one never-taken
-//!   branch. Enabled, the cost is measured rather than budgeted: perfbench's
+//!   plus two pipeline counters: `rvmtl_pipeline_busy_nanos_total` sums
+//!   the solve time of every worker's share, the calling thread's
+//!   included, and `rvmtl_pipeline_wall_nanos_total` spans each batch from
+//!   its first dispatch to its last result. These exist only under
+//!   [`StreamConfig::with_telemetry`]; disabled, every instrument is a
+//!   no-op handle and each call site costs one never-taken branch. Enabled, the cost is measured rather than budgeted: perfbench's
 //!   `obs.tracing_overhead_pct` (telemetry on plus the benchmark's own
 //!   per-call spans, against interleaved untraced passes) read −2.6 to
 //!   8.0 % on `fischer_timed` and 5.2 to 13.0 % on `swap_fleet` over four

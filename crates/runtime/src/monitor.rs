@@ -5,7 +5,7 @@ use crate::checkpoint::{
     decode_monitor, encode_monitor, epochs_newest_first, write_epoch, CheckpointError,
     MonitorCounters, MonitorImage, QueryImage,
 };
-use crate::pipeline::{run_worker, solve_segment, WorkerOutcome};
+use crate::pipeline::{solve_segment, Job, WorkerOutcome, WorkerPool};
 use crate::telemetry::RuntimeMetrics;
 use crate::{RuntimeHealth, StreamConfig};
 use rvmtl_distrib::{
@@ -22,6 +22,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Handle to one query multiplexed over a [`StreamMonitor`]'s stream.
@@ -116,6 +117,25 @@ impl SegmentScratch {
     }
 }
 
+/// A worker arena's remap memos for one GC epoch. Both arenas keep their
+/// ids until the next compaction, so an obligation that recurs batch after
+/// batch crosses between them by lookup instead of by resolve and
+/// re-intern.
+#[derive(Default)]
+struct RemapMemo {
+    /// Query-arena obligation → its seed in the worker arena.
+    seeds: FxHashMap<ShiftedId, FormulaId>,
+    /// Worker-arena result → its normalised query-arena obligation.
+    results: FxHashMap<FormulaId, ShiftedId>,
+}
+
+impl RemapMemo {
+    fn clear(&mut self) {
+        self.seeds.clear();
+        self.results.clear();
+    }
+}
+
 /// The final report of a finished stream.
 #[derive(Debug, Clone)]
 pub struct StreamReport {
@@ -193,7 +213,13 @@ pub struct StreamMonitor {
     /// The pipelined path's private worker arenas, one per worker a batch
     /// has used so far (none on the sequential path). They keep their nodes
     /// and progression caches across batches and are emptied at GC epochs.
+    /// A batch lends each arena to its worker's job and puts it back before
+    /// returning, so between batches every arena is here.
     worker_arenas: Vec<Interner>,
+    /// Per worker arena, its remap memos (cleared with the arena).
+    worker_memos: Vec<RemapMemo>,
+    /// The pipelined path's worker threads (none until a batch needs them).
+    pool: WorkerPool,
     queries: Vec<QueryState>,
     queue: VecDeque<QueuedSegment>,
     segments_processed: usize,
@@ -256,6 +282,8 @@ impl StreamMonitor {
             segmenter,
             arena: Interner::new(),
             worker_arenas: Vec::new(),
+            worker_memos: Vec::new(),
+            pool: WorkerPool::default(),
             queries: Vec::new(),
             queue: VecDeque::new(),
             segments_processed: 0,
@@ -919,13 +947,16 @@ impl StreamMonitor {
     /// observing the batch, in first-seen order (query order, then pending
     /// order); a query anchored mid-batch enters at the first segment of its
     /// boundary, and a query anchored after the batch is left out of it.
-    /// Units are dealt round-robin to `min(workers, units)` scoped threads,
-    /// each advancing its share through the batch in its own [`Interner`]
-    /// (see [`run_worker`]). Each worker's distinct results are re-interned
-    /// into the query arena once, and a query's new pending set is the
-    /// union of its units' results.
+    /// Units are dealt round-robin to `min(workers, units)` workers, each
+    /// advancing its share through the batch in its own [`Interner`] (see
+    /// [`crate::pipeline::run_worker`]): worker 0 on this thread, the others
+    /// on the monitor's [`WorkerPool`]. Seeds and results cross between the
+    /// query arena and a worker's arena through that worker's [`RemapMemo`],
+    /// so only what the GC epoch has not seen yet is resolved and
+    /// re-interned. A query's new pending set is the union of its units'
+    /// results.
     fn process_pipelined(&mut self, batch: Vec<QueuedSegment>, workers: usize) {
-        let segments: Vec<(DistributedComputation, u64)> =
+        let segments: Arc<[(DistributedComputation, u64)]> =
             batch.into_iter().map(|s| (s.comp, s.next_anchor)).collect();
         let mut index: FxHashMap<(usize, ShiftedId), usize> = FxHashMap::default();
         let mut units: Vec<(usize, ShiftedId)> = Vec::new();
@@ -955,50 +986,66 @@ impl StreamMonitor {
         }
         if self.worker_arenas.len() < dealt {
             self.worker_arenas.resize_with(dealt, Interner::new);
+            self.worker_memos.resize_with(dealt, RemapMemo::default);
         }
-        // Unit `u` goes to worker `u % dealt`. Its seed is resolved out of
-        // the query arena here, on the monitor thread: an `Interner` is
-        // `!Sync`, so workers never see the query arena.
+        // Unit `u` goes to worker `u % dealt`. A seed its worker's memo lacks
+        // is resolved out of the query arena here, on the monitor thread: an
+        // `Interner` is `!Sync`, so workers never see the query arena.
         let mut shares: Vec<Vec<(usize, FormulaId)>> = vec![Vec::new(); dealt];
         for (u, &(entry, s)) in units.iter().enumerate() {
-            let phi = ArenaOps::resolve_shifted(&self.arena, s);
-            let seed = self.worker_arenas[u % dealt].intern(&phi);
+            let arena = &mut self.worker_arenas[u % dealt];
+            let seed = *self.worker_memos[u % dealt]
+                .seeds
+                .entry(s)
+                .or_insert_with(|| arena.intern(&ArenaOps::resolve_shifted(&self.arena, s)));
             shares[u % dealt].push((entry, seed));
         }
-        let limit = self.config.max_solutions_per_segment;
-        let work_item = &self.metrics.work_item;
+        let jobs: Vec<Job> = shares
+            .into_iter()
+            .zip(&mut self.worker_arenas)
+            .map(|(units, arena)| Job {
+                arena: std::mem::take(arena),
+                segments: Arc::clone(&segments),
+                units,
+                limit: self.config.max_solutions_per_segment,
+                work_item: self.metrics.work_item.clone(),
+            })
+            .collect();
         let wall_timer = self.metrics.is_enabled().then(Stopwatch::start);
-        let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .worker_arenas
-                .iter_mut()
-                .zip(&shares)
-                .map(|(arena, share)| {
-                    let segments = &segments;
-                    scope.spawn(move || run_worker(arena, segments, share, limit, work_item))
-                })
-                .collect();
-            // Solve panics are caught inside the worker; a join error is a
-            // defect of the worker loop itself, re-raised here rather than
-            // silently dropping the worker's obligations.
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle
-                        .join()
-                        .unwrap_or_else(|e| std::panic::resume_unwind(e))
-                })
-                .collect()
-        });
+        let results = self.pool.run(jobs);
         if let Some(timer) = wall_timer {
             self.metrics.pipeline_wall.add(timer.elapsed_nanos());
         }
+        // Every arena is back in its slot before a panic is re-raised; a
+        // worker whose run panicked starts over from an empty arena.
+        let mut outcomes: Vec<WorkerOutcome> = Vec::with_capacity(dealt);
+        let mut panic = None;
+        for (k, result) in results.into_iter().enumerate() {
+            match result {
+                Ok((arena, outcome)) => {
+                    self.worker_arenas[k] = arena;
+                    outcomes.push(outcome);
+                }
+                Err(payload) => {
+                    self.worker_arenas[k] = Interner::new();
+                    self.worker_memos[k].clear();
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        // Solve panics are caught inside the worker; a panic here is a defect
+        // of the worker loop itself, re-raised rather than silently dropping
+        // the worker's obligations.
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         let mut outs: Vec<BTreeSet<ShiftedId>> = vec![BTreeSet::new(); units.len()];
         let mut lost: Vec<Vec<(usize, Formula)>> = vec![Vec::new(); units.len()];
-        for (k, (outcome, arena)) in outcomes.into_iter().zip(&self.worker_arenas).enumerate() {
+        for (k, outcome) in outcomes.into_iter().enumerate() {
             self.stats.absorb(&outcome.stats);
             self.metrics.pipeline_busy.add(outcome.busy);
-            let mut to_query: FxHashMap<FormulaId, ShiftedId> = FxHashMap::default();
+            let arena = &self.worker_arenas[k];
+            let to_query = &mut self.worker_memos[k].results;
             for (j, (out, gone)) in outcome.outs.into_iter().zip(outcome.lost).enumerate() {
                 let u = j * dealt + k;
                 outs[u] = out
@@ -1039,9 +1086,10 @@ impl StreamMonitor {
     }
 
     /// One GC epoch: mark-and-renumber the query-spanning arena over the live
-    /// pending sets and empty the worker arenas (no worker formula outlives
-    /// its batch; their caches re-warm on the next batch, and their hit/miss
-    /// tallies keep accumulating).
+    /// pending sets, empty the worker arenas (no pending obligation lives in
+    /// one; their caches re-warm on the next batch, and their hit/miss
+    /// tallies keep accumulating) and clear their remap memos, whose ids
+    /// the compactions invalidate.
     fn collect_garbage(&mut self) {
         // Shift-normal pendings root the GC at canonical residuals only:
         // translates of one obligation cost one root, and the materialised
@@ -1065,8 +1113,9 @@ impl StreamMonitor {
                 })
                 .collect();
         }
-        for arena in &mut self.worker_arenas {
+        for (arena, memo) in self.worker_arenas.iter_mut().zip(&mut self.worker_memos) {
             arena.compact(std::iter::empty());
+            memo.clear();
         }
         self.since_gc = 0;
         self.gc_runs += 1;
@@ -1274,9 +1323,11 @@ impl StreamMonitor {
             config,
             segmenter,
             arena,
-            // Worker arenas are warmth, not state: the pipelined path
-            // re-interns its seeds per batch, so a restore starts without.
+            // Worker arenas and their memos are warmth, not state: a
+            // restore starts without them (and without pool threads).
             worker_arenas: Vec::new(),
+            worker_memos: Vec::new(),
+            pool: WorkerPool::default(),
             queries,
             queue: VecDeque::new(),
             segments_processed: as_usize(counters.segments_processed, "segment count")?,
@@ -1305,6 +1356,13 @@ impl StreamMonitor {
 mod tests {
     use super::*;
     use rvmtl_mtl::{parse, state};
+
+    #[test]
+    fn stream_monitor_is_send() {
+        // A service moves its monitor into an ingestion thread.
+        fn assert_send<T: Send>() {}
+        assert_send::<StreamMonitor>();
+    }
 
     #[test]
     fn single_query_single_segment_stream() {

@@ -47,10 +47,11 @@ pub(crate) struct RuntimeMetrics {
     /// obligation, settled ones included, share its sample.
     pub(crate) work_item: Histogram,
     /// Total nanoseconds pipeline workers spent in solves (summed across
-    /// workers; compare against `pipeline_wall × workers` for idle time).
+    /// workers, the calling thread's share included; compare against
+    /// `pipeline_wall × workers` for idle time).
     pub(crate) pipeline_busy: Counter,
-    /// Total wall nanoseconds of the pipelined path's worker-pool runs
-    /// (spawn to join).
+    /// Total wall nanoseconds of the pipelined path's batches, each from
+    /// its first job dispatch to its last result.
     pub(crate) pipeline_wall: Counter,
 }
 

@@ -234,32 +234,48 @@ fn checkpointed_counters_survive_restore() {
 
 #[test]
 fn timing_instruments_are_monotone_and_nonzero_when_enabled() {
-    let (report, _) = run(StreamConfig::new(5).gc_interval(3).with_telemetry());
-    let snap = &report.telemetry;
-    for name in [
-        "rvmtl_segment_solve_nanos",
-        "rvmtl_batch_solve_nanos",
-        "rvmtl_work_item_nanos",
-        "rvmtl_event_to_verdict_nanos",
-        "rvmtl_gc_pause_nanos",
-    ] {
-        let h = snap
-            .histogram(name)
-            .unwrap_or_else(|| panic!("{name} must be registered"));
-        assert!(h.count > 0, "{name} recorded no samples");
-        assert!(h.p50 <= h.p90 && h.p90 <= h.p99, "{name} quantile order");
-        assert!(h.p99 <= h.max, "{name} p99 above max");
-        assert!(h.max > 0, "{name} samples are all zero");
-        assert!(h.sum >= h.max, "{name} sum below max");
+    let sequential = StreamConfig::new(5).gc_interval(3).with_telemetry();
+    let pipelined = sequential.clone().pipelined(Some(3)).flush_depth(4);
+    for config in [sequential, pipelined] {
+        let (report, _) = run(config.clone());
+        let snap = &report.telemetry;
+        let mut names = vec![
+            "rvmtl_batch_solve_nanos",
+            "rvmtl_work_item_nanos",
+            "rvmtl_event_to_verdict_nanos",
+            "rvmtl_gc_pause_nanos",
+        ];
+        // The pipelined path times batches, not single segments.
+        if !config.pipeline {
+            names.push("rvmtl_segment_solve_nanos");
+        }
+        for name in names {
+            let h = snap
+                .histogram(name)
+                .unwrap_or_else(|| panic!("{name} must be registered"));
+            assert!(h.count > 0, "{name} recorded no samples");
+            assert!(h.p50 <= h.p90 && h.p90 <= h.p99, "{name} quantile order");
+            assert!(h.p99 <= h.max, "{name} p99 above max");
+            assert!(h.max > 0, "{name} samples are all zero");
+            assert!(h.sum >= h.max, "{name} sum below max");
+        }
+        if config.pipeline {
+            // Every share's solves, the caller's included, fall inside the
+            // wall window from first dispatch to last result.
+            let busy = snap.counter("rvmtl_pipeline_busy_nanos_total").unwrap();
+            let wall = snap.counter("rvmtl_pipeline_wall_nanos_total").unwrap();
+            assert!(busy > 0, "pipeline busy time is zero");
+            assert!(busy <= wall * 3, "busy {busy} ns above 3 × wall {wall} ns");
+        }
+        // One verdict-latency family member per registered query.
+        let latency: Vec<_> = snap
+            .histograms
+            .iter()
+            .filter(|h| h.name == "rvmtl_verdict_latency_nanos")
+            .collect();
+        assert_eq!(latency.len(), 2);
+        assert!(latency.iter().all(|h| h.count > 0));
     }
-    // One verdict-latency family member per registered query.
-    let latency: Vec<_> = snap
-        .histograms
-        .iter()
-        .filter(|h| h.name == "rvmtl_verdict_latency_nanos")
-        .collect();
-    assert_eq!(latency.len(), 2);
-    assert!(latency.iter().all(|h| h.count > 0));
 }
 
 #[test]
