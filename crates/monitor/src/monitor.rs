@@ -4,7 +4,7 @@
 
 use crate::{Integrity, MonitorConfig, VerdictSet};
 use rvmtl_distrib::{segment, DistributedComputation};
-use rvmtl_mtl::{ArenaOps, Formula, FormulaId, Interner, ShiftedId};
+use rvmtl_mtl::{Formula, FormulaId, Interner, ShiftedId};
 use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -320,6 +320,25 @@ mod tests {
         for text in ["F b", "G a", "a U b"] {
             let phi = parse(text).unwrap();
             let report = Monitor::new(MonitorConfig::with_segments(4)).run(&comp, &phi);
+            assert_eq!(report.verdicts, naive_verdicts(&comp, &phi), "{text}");
+        }
+        // One segment spanning a gap beyond 2^63: the shift-relative cache
+        // keys of delayed-window specs see elapsed times that no longer fit
+        // in `i64`, which used to wrap and panic in `OneKey::pack`.
+        let mut b = ComputationBuilder::new(2, 2);
+        b.event(0, 1, state!["a"]);
+        b.event(1, (1 << 63) + 7, state!["b"]);
+        let comp = b.build().unwrap();
+        for text in [
+            "F[3,10) b",
+            "G[2,5) a",
+            "a U[3,9) b",
+            "F[3,inf) b",
+            "G[3,inf) a",
+            "!b U[2,inf) b",
+        ] {
+            let phi = parse(text).unwrap();
+            let report = Monitor::new(MonitorConfig::with_segments(1)).run(&comp, &phi);
             assert_eq!(report.verdicts, naive_verdicts(&comp, &phi), "{text}");
         }
     }

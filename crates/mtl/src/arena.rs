@@ -1,35 +1,32 @@
-//! The formula-arena abstraction.
+//! Progression over the formula arena.
 //!
-//! The solver engine and the monitors are written against [`ArenaOps`],
-//! which [`crate::Interner`] implements. Concurrent callers give each thread
-//! an arena of its own (the streaming runtime's pipelined path owns one
-//! `Interner` per worker), so no implementation needs locks. The trait has
-//! two layers:
+//! [`Interner`] (`intern.rs`) owns the storage: nodes, the canonicalising
+//! smart constructors, interned states, the fused metadata records and the
+//! two progression caches. This module adds the algorithms built on that
+//! storage, as further inherent `Interner` methods:
 //!
-//! * **Required methods** — node storage, canonicalising smart constructors,
-//!   state interning and the two progression caches, which the interner
-//!   implements natively with plain vectors and maps.
-//! * **Provided methods** — the *algorithms*: memoised single-observation and
-//!   gap progression, interval-splitting progression over occurrence windows,
-//!   empty-future evaluation, and conversion to/from the plain [`Formula`]
-//!   tree. These are written once, here, on top of the required methods.
+//! * shift-normal translation and decomposition
+//!   ([`Interner::translate_up`], [`Interner::translate_down`],
+//!   [`Interner::normalize`], [`Interner::materialize`],
+//!   [`Interner::resolve_shifted`]);
+//! * memoised single-observation and gap progression
+//!   ([`Interner::progress_one_cached`], [`Interner::progress_gap_cached`]);
+//! * interval-splitting progression over occurrence windows
+//!   ([`Interner::progress_one_over`], [`Interner::progress_gap_over`]),
+//!   which probes the caches for a whole window as one batch.
 //!
-//! The provided algorithms mirror the documented contracts of the inherent
-//! [`crate::Interner`] methods of the same names (see `intern.rs` for the
-//! soundness arguments: horizon clamping, invariant-only range merging, the
-//! stable tail); the interner's inherent methods delegate here.
+//! Concurrent callers give each thread an arena of its own (the streaming
+//! runtime's pipelined path owns one `Interner` per worker), so nothing here
+//! needs locks.
 
-use crate::{
-    Formula, FormulaId, GapKey, Interval, Node, NodeKind, NodeMeta, OneKey, Prop, ShiftedId, State,
-    StateKey,
-};
+use crate::intern::{GapKey, OneKey};
+use crate::{Formula, FormulaId, Interner, Interval, Node, ShiftedId, StateKey};
 
-/// Reusable buffers for the batched interval-splitting progressions
-/// ([`ArenaOps::progress_one_over_batched`] /
-/// [`ArenaOps::progress_gap_over_batched`]). One instance amortises the key,
-/// probe-result and residual vectors across every window a caller splits —
-/// the solver keeps one per segment, so the batch entry points allocate
-/// nothing in steady state.
+/// Reusable buffers for the interval-splitting progressions
+/// ([`Interner::progress_one_over`] / [`Interner::progress_gap_over`]). One
+/// instance amortises the key, probe-result and residual vectors across every
+/// window a caller splits — the solver keeps one per segment, so the
+/// splitters allocate nothing in steady state.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Packed one-cache keys of the current tick run.
@@ -43,7 +40,7 @@ pub struct ProbeScratch {
 }
 
 /// How the residuals of a [`SplitRange`] vary across the range; see
-/// [`crate::Interner::progress_one_over`] for the full contract.
+/// [`Interner::progress_one_over`] for the full contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangeKind {
     /// Every time point of the range yields the range's residual.
@@ -57,10 +54,9 @@ pub enum RangeKind {
 }
 
 /// One maximal range of an interval-splitting progression
-/// ([`crate::Interner::progress_one_over`] /
-/// [`crate::Interner::progress_gap_over`]): the occurrence times `[lo, hi]`
-/// (inclusive) together with the residual at `lo` and the law giving the
-/// residuals of the remaining points.
+/// ([`Interner::progress_one_over`] / [`Interner::progress_gap_over`]): the
+/// occurrence times `[lo, hi]` (inclusive) together with the residual at `lo`
+/// and the law giving the residuals of the remaining points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitRange {
     /// Earliest occurrence time of the range.
@@ -73,201 +69,69 @@ pub struct SplitRange {
     pub kind: RangeKind,
 }
 
-/// Operations every formula arena provides; see the module documentation.
-///
-/// The provided methods implement progression, evaluation and conversion
-/// generically; implementors only supply storage, canonicalising constructors
-/// and caches. The trait is not object-safe (the interval-splitting helpers
-/// take closures); it is used via monomorphisation only.
-pub trait ArenaOps {
-    /// The node named by `id` (a clone — nodes are small).
-    fn node(&self, id: FormulaId) -> Node;
-
-    /// Returns `true` if the interned state `key` satisfies the proposition.
-    fn state_holds(&self, key: StateKey, p: &Prop) -> bool;
-
-    /// The fused metadata record of `id` — kind tag, temporal horizon, shift
-    /// slack and canonical residual in **one** indexed read (see
-    /// [`crate::NodeMeta`]). This is the only per-node metadata primitive;
-    /// [`ArenaOps::temporal_horizon`] and friends are projections of it, so
-    /// hot paths that need several properties should call this once and
-    /// project locally.
-    fn node_meta(&self, id: FormulaId) -> NodeMeta;
-
-    /// The arena-level shift watermark (see [`crate::Interner::ever_shifted`]):
-    /// `false` while no node with a nonzero finite shift slack has ever been
-    /// interned, in which case shift-normal decomposition is the identity on
-    /// every id of this arena and callers skip the zone machinery wholesale.
-    fn ever_shifted(&self) -> bool;
-
-    /// Interns an observation state (see [`crate::Interner::intern_state`]).
-    fn intern_state(&mut self, state: &State) -> StateKey;
-
-    /// Interns an atomic proposition.
-    fn mk_atom(&mut self, p: Prop) -> FormulaId;
-    /// Smart negation.
-    fn mk_not(&mut self, a: FormulaId) -> FormulaId;
-    /// Smart n-ary conjunction.
-    fn mk_and_all(&mut self, parts: Vec<FormulaId>) -> FormulaId;
-    /// Smart n-ary disjunction.
-    fn mk_or_all(&mut self, parts: Vec<FormulaId>) -> FormulaId;
-    /// Smart implication.
-    fn mk_implies(&mut self, a: FormulaId, b: FormulaId) -> FormulaId;
-    /// Smart timed until.
-    fn mk_until(&mut self, a: FormulaId, i: Interval, b: FormulaId) -> FormulaId;
-    /// Smart timed eventually.
-    fn mk_eventually(&mut self, i: Interval, a: FormulaId) -> FormulaId;
-    /// Smart timed always.
-    fn mk_always(&mut self, i: Interval, a: FormulaId) -> FormulaId;
-
-    /// Looks up a memoised single-observation progression. The key is the
-    /// packed shift-relative scalar `(state, canonical residual, elapsed −
-    /// shift, shifted?)` — see [`ArenaOps::progress_one_cached`].
-    fn one_cache_get(&self, key: OneKey) -> Option<FormulaId>;
-    /// Memoises a single-observation progression.
-    fn one_cache_put(&mut self, key: OneKey, value: FormulaId);
-    /// Looks up a memoised gap progression (packed shift-relative key
-    /// `(canonical residual, elapsed − shift)`; see
-    /// [`ArenaOps::progress_gap_cached`]).
-    fn gap_cache_get(&self, key: GapKey) -> Option<FormulaId>;
-    /// Memoises a gap progression.
-    fn gap_cache_put(&mut self, key: GapKey, value: FormulaId);
-
-    /// Probes the one-cache for every key of a run, in order, writing one
-    /// `Option` per key into `out` (cleared first). Semantically identical to
-    /// looping [`ArenaOps::one_cache_get`] — including the hit/miss tallies,
-    /// which must count one probe per key — but implementors may amortise the
-    /// table traffic and the tallying over the whole run.
-    fn one_cache_get_batch(&self, keys: &[OneKey], out: &mut Vec<Option<FormulaId>>) {
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.one_cache_get(k)));
-    }
-
-    /// Batched counterpart of [`ArenaOps::gap_cache_get`]; same contract as
-    /// [`ArenaOps::one_cache_get_batch`].
-    fn gap_cache_get_batch(&self, keys: &[GapKey], out: &mut Vec<Option<FormulaId>>) {
-        out.clear();
-        out.extend(keys.iter().map(|&k| self.gap_cache_get(k)));
-    }
-
-    /// Smart binary conjunction.
-    fn mk_and(&mut self, a: FormulaId, b: FormulaId) -> FormulaId {
-        self.mk_and_all(vec![a, b])
-    }
-
-    /// Smart binary disjunction.
-    fn mk_or(&mut self, a: FormulaId, b: FormulaId) -> FormulaId {
-        self.mk_or_all(vec![a, b])
-    }
-
-    /// The temporal horizon of `id` (see [`crate::Interner::temporal_horizon`];
-    /// a projection of [`ArenaOps::node_meta`]).
-    fn temporal_horizon(&self, id: FormulaId) -> u64 {
-        self.node_meta(id).horizon
-    }
-
-    /// The shift slack of `id` (see [`crate::Interner::shift_slack`]):
-    /// `u64::MAX` for propositional formulas, otherwise the largest exact
-    /// downward translation of the top-level intervals. A projection of
-    /// [`ArenaOps::node_meta`].
-    fn shift_slack(&self, id: FormulaId) -> u64 {
-        self.node_meta(id).slack
-    }
-
-    /// The canonical shift-normal residual of `id` (see
-    /// [`crate::Interner::shift_canon`]; a projection of
-    /// [`ArenaOps::node_meta`]).
-    fn shift_canon(&self, id: FormulaId) -> FormulaId {
-        self.node_meta(id).canon
-    }
-
-    /// Returns `true` if progression of `id` is independent of elapsed time
-    /// (see [`crate::Interner::temporal_horizon`]).
-    fn is_time_invariant(&self, id: FormulaId) -> bool {
-        self.node_meta(id).horizon == 0
-    }
-
+impl Interner {
     /// Shifts every top-level temporal interval of `id` up by `delta` —
-    /// the exact inverse of [`ArenaOps::translate_down`] on its domain.
+    /// the exact inverse of [`Interner::translate_down`] on its domain.
     /// Propositional formulas are fixed points; subformulas *under* a
     /// temporal operator are untouched (their anchor is the operator's
     /// window, which moves as a whole).
-    fn translate_up(&mut self, id: FormulaId, delta: u64) -> FormulaId {
-        if delta == 0 || self.shift_slack(id) == u64::MAX {
-            return id;
-        }
-        match self.node(id) {
-            Node::True | Node::False | Node::Atom(_) => id,
-            Node::Not(a) => {
-                let a = self.translate_up(a, delta);
-                self.mk_not(a)
-            }
-            Node::And(children) => {
-                let parts: Vec<FormulaId> = children
-                    .iter()
-                    .map(|&c| self.translate_up(c, delta))
-                    .collect();
-                self.mk_and_all(parts)
-            }
-            Node::Or(children) => {
-                let parts: Vec<FormulaId> = children
-                    .iter()
-                    .map(|&c| self.translate_up(c, delta))
-                    .collect();
-                self.mk_or_all(parts)
-            }
-            Node::Implies(a, b) => {
-                let a = self.translate_up(a, delta);
-                let b = self.translate_up(b, delta);
-                self.mk_implies(a, b)
-            }
-            Node::Eventually(i, a) => self.mk_eventually(i.shift_up(delta), a),
-            Node::Always(i, a) => self.mk_always(i.shift_up(delta), a),
-            Node::Until(a, i, b) => self.mk_until(a, i.shift_up(delta), b),
-        }
+    pub fn translate_up(&mut self, id: FormulaId, delta: u64) -> FormulaId {
+        self.translate(id, delta, |i| i.shift_up(delta))
     }
 
     /// Translates every top-level temporal interval of `id` down by `delta`,
-    /// exactly — `delta` must not exceed [`ArenaOps::shift_slack`], so no
-    /// endpoint clamps and [`ArenaOps::translate_up`] inverts the move.
+    /// exactly — `delta` must not exceed [`Interner::shift_slack`], so no
+    /// endpoint clamps and [`Interner::translate_up`] inverts the move.
     /// Equals `progress_gap(id, delta)` on that domain (a gap shorter than
     /// the slack elapses no window, it only slides them).
-    fn translate_down(&mut self, id: FormulaId, delta: u64) -> FormulaId {
+    pub fn translate_down(&mut self, id: FormulaId, delta: u64) -> FormulaId {
         debug_assert!(
             delta <= self.shift_slack(id),
             "translate_down past the shift slack is not exact"
         );
+        self.translate(id, delta, |i| i.translate_down(delta))
+    }
+
+    /// Rebuilds `id` with `shift` applied to every top-level temporal
+    /// interval (the common walk of the two translations; `delta` is the
+    /// distance `shift` moves an interval).
+    fn translate(
+        &mut self,
+        id: FormulaId,
+        delta: u64,
+        shift: impl Fn(Interval) -> Interval + Copy,
+    ) -> FormulaId {
         if delta == 0 || self.shift_slack(id) == u64::MAX {
             return id;
         }
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True | Node::False | Node::Atom(_) => id,
             Node::Not(a) => {
-                let a = self.translate_down(a, delta);
+                let a = self.translate(a, delta, shift);
                 self.mk_not(a)
             }
             Node::And(children) => {
                 let parts: Vec<FormulaId> = children
                     .iter()
-                    .map(|&c| self.translate_down(c, delta))
+                    .map(|&c| self.translate(c, delta, shift))
                     .collect();
                 self.mk_and_all(parts)
             }
             Node::Or(children) => {
                 let parts: Vec<FormulaId> = children
                     .iter()
-                    .map(|&c| self.translate_down(c, delta))
+                    .map(|&c| self.translate(c, delta, shift))
                     .collect();
                 self.mk_or_all(parts)
             }
             Node::Implies(a, b) => {
-                let a = self.translate_down(a, delta);
-                let b = self.translate_down(b, delta);
+                let a = self.translate(a, delta, shift);
+                let b = self.translate(b, delta, shift);
                 self.mk_implies(a, b)
             }
-            Node::Eventually(i, a) => self.mk_eventually(i.translate_down(delta), a),
-            Node::Always(i, a) => self.mk_always(i.translate_down(delta), a),
-            Node::Until(a, i, b) => self.mk_until(a, i.translate_down(delta), b),
+            Node::Eventually(i, a) => self.mk_eventually(shift(i), a),
+            Node::Always(i, a) => self.mk_always(shift(i), a),
+            Node::Until(a, i, b) => self.mk_until(a, shift(i), b),
         }
     }
 
@@ -276,7 +140,7 @@ pub trait ArenaOps {
     /// factored out. Formulas with slack 0 (a window already open, or an
     /// `Until` with a non-invariant left argument) and propositional formulas
     /// are their own canonical form with shift 0.
-    fn normalize(&self, id: FormulaId) -> ShiftedId {
+    pub fn normalize(&self, id: FormulaId) -> ShiftedId {
         // Shift-free arenas (watermark down) have no decomposable node at
         // all: skip even the metadata read.
         if !self.ever_shifted() {
@@ -295,8 +159,8 @@ pub trait ArenaOps {
 
     /// Rebuilds the plain id of a shift-normal pair
     /// (`translate_up(s.id, s.shift)`) — the inverse of
-    /// [`ArenaOps::normalize`].
-    fn materialize(&mut self, s: ShiftedId) -> FormulaId {
+    /// [`Interner::normalize`].
+    pub fn materialize(&mut self, s: ShiftedId) -> FormulaId {
         self.translate_up(s.id, s.shift)
     }
 
@@ -304,36 +168,56 @@ pub trait ArenaOps {
     /// materialising the translated node in the arena. Produces exactly
     /// `resolve(materialize(s))`: top-level intervals are shifted up *before*
     /// the structural re-sort of n-ary operands.
-    fn resolve_shifted(&self, s: ShiftedId) -> Formula {
-        fn go<A: ArenaOps + ?Sized>(arena: &A, id: FormulaId, delta: u64) -> Formula {
-            if delta == 0 || arena.shift_slack(id) == u64::MAX {
-                return arena.resolve(id);
-            }
-            match arena.node(id) {
-                Node::True | Node::False | Node::Atom(_) => arena.resolve(id),
-                Node::Not(a) => Formula::not(go(arena, a, delta)),
-                Node::And(children) => fold_nary(
-                    children.iter().map(|&c| go(arena, c, delta)).collect(),
-                    true,
-                ),
-                Node::Or(children) => fold_nary(
-                    children.iter().map(|&c| go(arena, c, delta)).collect(),
-                    false,
-                ),
-                Node::Implies(a, b) => Formula::implies(go(arena, a, delta), go(arena, b, delta)),
-                Node::Eventually(i, a) => Formula::eventually(i.shift_up(delta), arena.resolve(a)),
-                Node::Always(i, a) => Formula::always(i.shift_up(delta), arena.resolve(a)),
-                Node::Until(a, i, b) => {
-                    Formula::until(arena.resolve(a), i.shift_up(delta), arena.resolve(b))
-                }
-            }
-        }
-        go(self, s.id, s.shift)
+    pub fn resolve_shifted(&self, s: ShiftedId) -> Formula {
+        self.resolve_up(s.id, s.shift)
     }
 
-    /// Memoised single-observation progression over an interned state (see
-    /// [`crate::Interner::progress_one_cached`] for the original contract and
-    /// the horizon-clamping argument).
+    fn resolve_up(&self, id: FormulaId, delta: u64) -> Formula {
+        if delta == 0 || self.shift_slack(id) == u64::MAX {
+            return self.resolve(id);
+        }
+        match self.node(id) {
+            Node::True | Node::False | Node::Atom(_) => self.resolve(id),
+            Node::Not(a) => Formula::not(self.resolve_up(*a, delta)),
+            Node::And(children) => fold_nary(
+                children
+                    .iter()
+                    .map(|&c| self.resolve_up(c, delta))
+                    .collect(),
+                true,
+            ),
+            Node::Or(children) => fold_nary(
+                children
+                    .iter()
+                    .map(|&c| self.resolve_up(c, delta))
+                    .collect(),
+                false,
+            ),
+            Node::Implies(a, b) => {
+                Formula::implies(self.resolve_up(*a, delta), self.resolve_up(*b, delta))
+            }
+            Node::Eventually(i, a) => Formula::eventually(i.shift_up(delta), self.resolve(*a)),
+            Node::Always(i, a) => Formula::always(i.shift_up(delta), self.resolve(*a)),
+            Node::Until(a, i, b) => {
+                Formula::until(self.resolve(*a), i.shift_up(delta), self.resolve(*b))
+            }
+        }
+    }
+
+    /// Memoised [`Interner::progress_one`] over an interned state: the result
+    /// of progressing `id` across a single observation of state `key` with
+    /// `elapsed` time units between the observation and the next anchor.
+    ///
+    /// `progress_one(state, time, id, next)` depends on its two time
+    /// arguments only through `next − time`, and beyond the formula's
+    /// [temporal horizon](Interner::temporal_horizon) not even on that — so
+    /// the memo key clamps the elapsed time at the horizon and one cache
+    /// entry serves every tick of the stable tail of any window, across all
+    /// segments the interner lives through. The memoisation is applied at
+    /// *every* recursion level, so structurally shared subformulas (e.g. the
+    /// per-process obligations of a replicated specification, or the stable
+    /// core of a `□`-residual) are progressed once per `(state, elapsed)`
+    /// no matter how many pending formulas contain them.
     ///
     /// # Shift-relative memoisation
     ///
@@ -359,7 +243,7 @@ pub trait ArenaOps {
     /// the two regimes of one canonical residual apart. The relative time of
     /// shifted entries is clamped at the canonical residual's horizon, which
     /// is at least the member's own stability threshold minus its shift.
-    fn progress_one_cached(&mut self, key: StateKey, id: FormulaId, elapsed: u64) -> FormulaId {
+    pub fn progress_one_cached(&mut self, key: StateKey, id: FormulaId, elapsed: u64) -> FormulaId {
         // One fused metadata read serves the slack branch, the horizon clamp
         // and the canonical id. A shift-free node (slack 0 or MAX — the only
         // possibility while the arena watermark is down) takes the direct-key
@@ -371,10 +255,10 @@ pub trait ArenaOps {
         let clamped = elapsed.min(meta.horizon);
         let cache_key = if meta.is_translatable() {
             let canon_horizon = self.node_meta(meta.canon).horizon;
-            let rel = (elapsed as i64 - meta.slack as i64).min(canon_horizon as i64);
+            let rel = relative_time(elapsed, meta.slack, canon_horizon);
             OneKey::pack(key, meta.canon, rel, true)
         } else {
-            OneKey::pack(key, id, clamped as i64, false)
+            OneKey::pack(key, id, relative_time(elapsed, 0, meta.horizon), false)
         };
         if let Some(f) = self.one_cache_get(cache_key) {
             return f;
@@ -384,15 +268,15 @@ pub trait ArenaOps {
         f
     }
 
-    /// The uncached body of [`ArenaOps::progress_one_cached`]: structural
+    /// The uncached body of [`Interner::progress_one_cached`]: structural
     /// progression of `id` against the observation `key` at horizon-clamped
     /// elapsed time `clamped`. Issues **no** top-level cache traffic (children
     /// still go through the cached entry point) — callers that probed and
     /// missed call this and then memoise the result themselves, which is what
-    /// lets the batched splitter collect a run of misses and resolve them
-    /// together without double-counting probes.
+    /// lets the splitter collect a run of misses and resolve them together
+    /// without double-counting probes.
     fn progress_one_compute(&mut self, key: StateKey, id: FormulaId, clamped: u64) -> FormulaId {
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True => FormulaId::TRUE,
             Node::False => FormulaId::FALSE,
             Node::Atom(p) => {
@@ -475,30 +359,29 @@ pub trait ArenaOps {
         }
     }
 
-    /// Memoised gap progression (see [`crate::Interner::progress_gap_cached`]),
-    /// keyed shift-relative like [`ArenaOps::progress_one_cached`] — without a
-    /// regime flag, because a gap consumes no observation: `gap(S_σ c, Δ)`
-    /// equals `gap(c, Δ − σ)` for `Δ ≥ σ` and the pure translate
-    /// `S_{σ−Δ} c` for `Δ ≤ σ` (negative relative times in the key).
-    fn progress_gap_cached(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
+    /// Memoised [`Interner::progress_gap`] (same per-node elapsed-clamping
+    /// memo as [`Interner::progress_one_cached`]), keyed shift-relative like
+    /// it — without a regime flag, because a gap consumes no observation:
+    /// `gap(S_σ c, Δ)` equals `gap(c, Δ − σ)` for `Δ ≥ σ` and the pure
+    /// translate `S_{σ−Δ} c` for `Δ ≤ σ` (negative relative times in the
+    /// key).
+    pub fn progress_gap_cached(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
         let meta = self.node_meta(id);
-        let clamped = elapsed.min(meta.horizon);
-        if clamped == 0 {
+        if elapsed.min(meta.horizon) == 0 {
             // A zero gap is the identity, and a time-invariant formula is a
             // fixpoint of every gap.
             return id;
         }
-        let slack = meta.slack;
         // Non-invariant formulas (horizon > 0) always have a finite slack:
         // slack == MAX means no top-level temporal operator at all.
-        let cache_key = if slack >= 1 {
+        let cache_key = if meta.slack >= 1 {
             let canon_horizon = self.node_meta(meta.canon).horizon;
             GapKey::pack(
                 meta.canon,
-                (elapsed as i64 - slack as i64).min(canon_horizon as i64),
+                relative_time(elapsed, meta.slack, canon_horizon),
             )
         } else {
-            GapKey::pack(id, clamped as i64)
+            GapKey::pack(id, relative_time(elapsed, 0, meta.horizon))
         };
         if let Some(f) = self.gap_cache_get(cache_key) {
             return f;
@@ -508,10 +391,10 @@ pub trait ArenaOps {
         f
     }
 
-    /// The uncached body of [`ArenaOps::progress_gap_cached`]: structural gap
+    /// The uncached body of [`Interner::progress_gap_cached`]: structural gap
     /// progression of `id` by `elapsed` ticks with **no** top-level cache
-    /// traffic (the counterpart of [`ArenaOps::progress_one_compute`] for the
-    /// batched splitter's collected-miss resolution).
+    /// traffic (the counterpart of `progress_one_compute` for the splitter's
+    /// collected-miss resolution).
     fn progress_gap_compute(&mut self, id: FormulaId, elapsed: u64) -> FormulaId {
         let meta = self.node_meta(id);
         let clamped = elapsed.min(meta.horizon);
@@ -523,7 +406,7 @@ pub trait ArenaOps {
             // slide — the result is the exact translate.
             return self.translate_down(id, elapsed);
         }
-        match self.node(id) {
+        match self.node(id).clone() {
             Node::True | Node::False | Node::Atom(_) => id,
             Node::Not(a) => {
                 let a = self.progress_gap_cached(a, clamped);
@@ -572,60 +455,69 @@ pub trait ArenaOps {
         }
     }
 
-    /// Interval-splitting progression over a pre-interned observation state
-    /// (see [`crate::Interner::progress_one_over`] for the contract: the
-    /// returned ranges tile `[lo, hi]`; multi-point ranges below the
-    /// stability threshold carry time-invariant residuals or sweep one
-    /// shift-normal zone).
-    fn progress_one_over_keyed(
-        &mut self,
-        key: StateKey,
-        time: u64,
-        id: FormulaId,
-        lo: u64,
-        hi: u64,
-    ) -> Vec<SplitRange> {
-        progress_over_with(
-            self,
-            lo,
-            hi,
-            time.saturating_add(self.temporal_horizon(id)),
-            |arena, t| arena.progress_one_cached(key, id, t.saturating_sub(time)),
-        )
-    }
-
-    /// Interval-splitting gap progression (see
-    /// [`crate::Interner::progress_gap_over`]).
-    fn progress_gap_over(&mut self, id: FormulaId, base: u64, lo: u64, hi: u64) -> Vec<SplitRange> {
-        progress_over_with(
-            self,
-            lo,
-            hi,
-            base.saturating_add(self.temporal_horizon(id)),
-            |arena, t| arena.progress_gap_cached(id, t.saturating_sub(base)),
-        )
-    }
-
-    /// Batched variant of [`ArenaOps::progress_one_over_keyed`]: splits the
-    /// same window into the same ranges (appended to `out`, cleared first),
-    /// but issues the per-tick cache probes as **one contiguous batch**
-    /// through [`ArenaOps::one_cache_get_batch`], collects the misses, and
-    /// resolves them together in tick order. Returns the number of probes
-    /// issued (the tick count of the clamped run), which the solver surfaces
-    /// as its `batched_probe_ticks` counter.
+    /// Interval-splitting progression: partitions the occurrence-time window
+    /// `[lo, hi]` (inclusive) of the *next* observation into maximal
+    /// [`SplitRange`]s — ranges whose residuals the caller may treat as one
+    /// search node — and writes them to `out` (cleared first) in increasing
+    /// time order. Returns the number of cache probes issued, which the
+    /// solver surfaces as its `batched_probe_ticks` counter.
     ///
-    /// # Tally equivalence
+    /// The pending formula `id` is anchored at `time` and the observation
+    /// being consumed is the interned state `key` at `time` (the solver
+    /// interns each cut frontier once and reuses the key across every window
+    /// explored at that cut). Each range `[a, b]` carries the residual at its
+    /// earliest point `a` and a [`RangeKind`] describing the rest of the
+    /// range:
     ///
-    /// Probe-all-then-resolve sees exactly the hits and misses the
-    /// interleaved scalar loop would see, because within one run every packed
-    /// key is distinct — the relative time strictly increases tick over tick
-    /// and the horizon clamp is only reached at the final tick (the run stops
-    /// at the stability threshold) — and resolving a missed tick can never
-    /// insert another tick's key: a resolution memoises only its own key
-    /// (top-level) plus keys of *structurally smaller* subterms, while every
-    /// run key names `id` or its equal-size canonical residual.
+    /// * [`RangeKind::Uniform`] — `progress_one(state, time, id, t)` is the
+    ///   same formula at every `t ∈ [a, b]`;
+    /// * [`RangeKind::Translated`] — the residual at `a + k` is the exact
+    ///   time-translate `translate_down(residual, k)`: the range sweeps one
+    ///   shift-normal zone ([`Interner::shift_canon`] constant, shift
+    ///   decrementing per tick, never reaching 0 inside the range).
+    ///
+    /// Two mechanisms bound the number of progressions by
+    /// `min(hi − lo, temporal_horizon(id)) + 1` instead of `hi − lo + 1`:
+    ///
+    /// * beyond the stability threshold `time + temporal_horizon(id)` the
+    ///   residual no longer depends on `t`, so the entire tail of the window
+    ///   is resolved with a single progression;
+    /// * below the threshold, adjacent time points merge into one range when
+    ///   the shared residual is *time-invariant*
+    ///   ([`Interner::is_time_invariant`]) or when consecutive residuals are
+    ///   exact unit translates of each other with shifts that stay ≥ 1. In
+    ///   both cases the caller is entitled to collapse the range to its
+    ///   earliest point: the reachable rewrite set from pending time `t`
+    ///   within one zone shrinks monotonically in `t` (later members can only
+    ///   schedule a subset of the event times available to earlier ones,
+    ///   while the residuals produced at matching absolute times coincide),
+    ///   so the union over the range equals the contribution of its infimum.
+    ///   The shift-0 member of a zone (the tick at which the window opens) is
+    ///   never merged into the translated range: from that tick on the
+    ///   observation falls *inside* the window and the progression changes
+    ///   shape.
+    ///
+    /// The invariant-only uniform rule still applies to the stable tail: a
+    /// non-invariant tail residual (a bounded operator nested under an
+    /// unbounded one) is returned as one multi-point `Uniform` range — saving
+    /// the per-tick progressions — and the caller must still treat each time
+    /// point of that range as a distinct search state.
+    ///
+    /// # Batched probes and tally equivalence
+    ///
+    /// The per-tick cache keys of the run `lo ..= min(hi, max(lo, time +
+    /// horizon))` are packed first and probed as **one** contiguous batch;
+    /// the misses are then resolved in tick order. This sees exactly the hits
+    /// and misses of a per-tick [`Interner::progress_one_cached`] loop over
+    /// the same run, because within one run every packed key is distinct —
+    /// the relative time strictly increases tick over tick and the horizon
+    /// clamp is only reached at the final tick (the run stops at the
+    /// stability threshold) — and resolving a missed tick can never insert
+    /// another tick's key: a resolution memoises only its own key (top-level)
+    /// plus keys of *structurally smaller* subterms, while every run key
+    /// names `id` or its equal-size canonical residual.
     #[allow(clippy::too_many_arguments)]
-    fn progress_one_over_batched(
+    pub fn progress_one_over(
         &mut self,
         key: StateKey,
         time: u64,
@@ -638,8 +530,8 @@ pub trait ArenaOps {
         debug_assert!(lo <= hi, "window [{lo}, {hi}] is empty");
         let meta = self.node_meta(id);
         let stable_from = time.saturating_add(meta.horizon);
-        // The scalar loop steps `lo ..= hi` but breaks at the first stable
-        // tick, so the probed run is clamped at the stability threshold.
+        // Every tick from the stability threshold on has the threshold's
+        // residual, so the probed run stops there.
         let run_hi = hi.min(stable_from.max(lo));
         let ProbeScratch {
             one_keys,
@@ -651,14 +543,13 @@ pub trait ArenaOps {
         if meta.is_translatable() {
             let canon_horizon = self.node_meta(meta.canon).horizon;
             for t in lo..=run_hi {
-                let elapsed = t.saturating_sub(time);
-                let rel = (elapsed as i64 - meta.slack as i64).min(canon_horizon as i64);
+                let rel = relative_time(t.saturating_sub(time), meta.slack, canon_horizon);
                 one_keys.push(OneKey::pack(key, meta.canon, rel, true));
             }
         } else {
             for t in lo..=run_hi {
-                let clamped = t.saturating_sub(time).min(meta.horizon);
-                one_keys.push(OneKey::pack(key, id, clamped as i64, false));
+                let rel = relative_time(t.saturating_sub(time), 0, meta.horizon);
+                one_keys.push(OneKey::pack(key, id, rel, false));
             }
         }
         self.one_cache_get_batch(one_keys, probes);
@@ -681,12 +572,17 @@ pub trait ArenaOps {
         one_keys.len()
     }
 
-    /// Batched variant of [`ArenaOps::progress_gap_over`]; same contract and
-    /// tally-equivalence argument as [`ArenaOps::progress_one_over_batched`].
-    /// Returns the probe count — ticks whose clamped gap is zero (the scalar
-    /// path's identity early-return) issue no probe and form a prefix of the
-    /// run, so they are excluded from both the batch and the count.
-    fn progress_gap_over_batched(
+    /// Interval-splitting counterpart of [`Interner::progress_gap`]:
+    /// partitions the window `[lo, hi]` of the next anchor time into maximal
+    /// ranges on which `progress_gap(id, t − base)` is constant or
+    /// translate-swept. `base` is the anchor time of `id`. Same contract,
+    /// merge rules and tally-equivalence argument as
+    /// [`Interner::progress_one_over`], against a per-tick
+    /// [`Interner::progress_gap_cached`] loop. Returns the probe count — ticks
+    /// whose clamped gap is zero (the per-tick path's identity early-return)
+    /// issue no probe and form a prefix of the run, so they are excluded from
+    /// both the batch and the count.
+    pub fn progress_gap_over(
         &mut self,
         id: FormulaId,
         base: u64,
@@ -711,27 +607,26 @@ pub trait ArenaOps {
         // canonical residual's horizon; read it once. (Finite nonzero slack
         // implies a temporal top level, so `canon` is populated; the other
         // arms never read the value.)
-        let canon_horizon = if meta.slack >= 1 && meta.slack != u64::MAX {
+        let canon_horizon = if meta.is_translatable() {
             self.node_meta(meta.canon).horizon
         } else {
             0
         };
         // Zero-gap ticks (elapsed == 0, or any tick of a time-invariant
-        // formula) are the identity with no cache traffic on the scalar
-        // path; elapsed is monotone in `t`, so they form a prefix of the
-        // run, recorded directly as residuals. The probed suffix starts at
-        // tick `lo + residuals.len()`.
+        // formula) are the identity with no cache traffic on the per-tick
+        // path; elapsed is monotone in `t`, so they form a prefix of the run,
+        // recorded directly as residuals. The probed suffix starts at tick
+        // `lo + residuals.len()`.
         for t in lo..=run_hi {
             let elapsed = t.saturating_sub(base);
             if elapsed.min(meta.horizon) == 0 {
                 residuals.push(id);
             } else if meta.slack >= 1 {
-                gap_keys.push(GapKey::pack(
-                    meta.canon,
-                    (elapsed as i64 - meta.slack as i64).min(canon_horizon as i64),
-                ));
+                let rel = relative_time(elapsed, meta.slack, canon_horizon);
+                gap_keys.push(GapKey::pack(meta.canon, rel));
             } else {
-                gap_keys.push(GapKey::pack(id, elapsed.min(meta.horizon) as i64));
+                let rel = relative_time(elapsed, 0, meta.horizon);
+                gap_keys.push(GapKey::pack(id, rel));
             }
         }
         let prefix = residuals.len() as u64;
@@ -752,97 +647,27 @@ pub trait ArenaOps {
         merge_residual_run(self, lo, hi, stable_from, residuals, out);
         gap_keys.len()
     }
-
-    /// Closes a formula against the empty future (see
-    /// [`crate::Interner::eval_empty`]). Leaf-deciding kinds (constants,
-    /// atoms, temporal operators) are classified from the metadata kind tag
-    /// alone — no node clone; only boolean connectives fetch the node for its
-    /// children.
-    fn eval_empty(&self, id: FormulaId) -> bool {
-        match self.node_meta(id).kind {
-            NodeKind::True | NodeKind::Always => true,
-            NodeKind::False | NodeKind::Atom | NodeKind::Eventually | NodeKind::Until => false,
-            NodeKind::Not | NodeKind::And | NodeKind::Or | NodeKind::Implies => {
-                match self.node(id) {
-                    Node::Not(a) => !self.eval_empty(a),
-                    Node::And(children) => children.iter().all(|&c| self.eval_empty(c)),
-                    Node::Or(children) => children.iter().any(|&c| self.eval_empty(c)),
-                    Node::Implies(a, b) => !self.eval_empty(a) || self.eval_empty(b),
-                    _ => unreachable!("kind tag agrees with the node"),
-                }
-            }
-        }
-    }
-
-    /// Interns a formula tree, canonicalising through the smart constructors.
-    fn intern(&mut self, phi: &Formula) -> FormulaId {
-        match phi {
-            Formula::True => FormulaId::TRUE,
-            Formula::False => FormulaId::FALSE,
-            Formula::Atom(p) => self.mk_atom(p.clone()),
-            Formula::Not(a) => {
-                let a = self.intern(a);
-                self.mk_not(a)
-            }
-            Formula::And(a, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_and(a, b)
-            }
-            Formula::Or(a, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_or(a, b)
-            }
-            Formula::Implies(a, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_implies(a, b)
-            }
-            Formula::Until(a, i, b) => {
-                let a = self.intern(a);
-                let b = self.intern(b);
-                self.mk_until(a, *i, b)
-            }
-            Formula::Eventually(i, a) => {
-                let a = self.intern(a);
-                self.mk_eventually(*i, a)
-            }
-            Formula::Always(i, a) => {
-                let a = self.intern(a);
-                self.mk_always(*i, a)
-            }
-        }
-    }
-
-    /// Rebuilds the plain formula tree named by `id` (same canonical shape as
-    /// [`crate::Interner::resolve`]: n-ary operands re-sorted structurally, so
-    /// resolutions agree across arenas with different id assignments).
-    fn resolve(&self, id: FormulaId) -> Formula {
-        match self.node(id) {
-            Node::True => Formula::True,
-            Node::False => Formula::False,
-            Node::Atom(p) => Formula::Atom(p),
-            Node::Not(a) => Formula::not(self.resolve(a)),
-            Node::And(children) => resolve_nary(self, &children, true),
-            Node::Or(children) => resolve_nary(self, &children, false),
-            Node::Implies(a, b) => Formula::implies(self.resolve(a), self.resolve(b)),
-            Node::Until(a, i, b) => Formula::until(self.resolve(a), i, self.resolve(b)),
-            Node::Eventually(i, a) => Formula::eventually(i, self.resolve(a)),
-            Node::Always(i, a) => Formula::always(i, self.resolve(a)),
-        }
-    }
 }
 
-fn resolve_nary<A: ArenaOps + ?Sized>(arena: &A, children: &[FormulaId], conj: bool) -> Formula {
-    fold_nary(children.iter().map(|&c| arena.resolve(c)).collect(), conj)
+/// The relative time `min(elapsed − slack, horizon)` of a progression-cache
+/// key, signed (negative while the gap is shorter than the slack). The
+/// difference is taken in `u64` before it becomes signed, so an elapsed time
+/// of 2^63 or more cannot wrap into a negative key; a magnitude beyond
+/// `i64` saturates, and [`OneKey::pack`] rejects what it cannot represent.
+/// Direct (unshifted) keys are the case `slack == 0`.
+#[inline]
+fn relative_time(elapsed: u64, slack: u64, horizon: u64) -> i64 {
+    match elapsed.checked_sub(slack) {
+        Some(past) => 0i64.saturating_add_unsigned(past.min(horizon)),
+        None => 0i64.saturating_sub_unsigned(slack - elapsed),
+    }
 }
 
 /// Left-associates resolved n-ary operands in structural order (the shape
 /// [`crate::simplify`] produces).
 // n-ary nodes hold >= 2 operands by the smart-constructor invariant.
 #[allow(clippy::expect_used)]
-fn fold_nary(mut resolved: Vec<Formula>, conj: bool) -> Formula {
+pub(crate) fn fold_nary(mut resolved: Vec<Formula>, conj: bool) -> Formula {
     resolved.sort();
     let mut iter = resolved.into_iter();
     let first = iter.next().expect("n-ary nodes have at least two operands");
@@ -855,29 +680,36 @@ fn fold_nary(mut resolved: Vec<Formula>, conj: bool) -> Formula {
     })
 }
 
-/// Shared splitting loop: walks `t` over `[lo, hi]`, calling `step` once per
-/// time point below `stable_from` and once for the whole tail at or beyond
-/// it, merging adjacent residuals into one range when they are equal and
-/// time-invariant (`Uniform`) or exact unit translates of one another with
-/// shifts staying ≥ 1 (`Translated`) — see
-/// [`crate::Interner::progress_one_over`] for why exactly these merges are
-/// sound for a union-of-contributions caller.
-fn progress_over_with<A: ArenaOps + ?Sized>(
-    arena: &mut A,
+/// Returns `true` if `prev` is the exact unit translate `S₁ f` of `f` and
+/// `f` itself still has shift slack ≥ 1 — the condition under which a range
+/// ending in `prev` may absorb `f` as a [`RangeKind::Translated`] member.
+fn is_unit_translate(arena: &Interner, prev: FormulaId, f: FormulaId) -> bool {
+    let mf = arena.node_meta(f);
+    if !mf.is_translatable() {
+        return false;
+    }
+    let mp = arena.node_meta(prev);
+    mp.slack == mf.slack + 1 && mp.canon == mf.canon
+}
+
+/// The merge half of the splitters, applied to a run of residuals that has
+/// already been resolved (`residuals[i]` is the residual at tick `lo + i`):
+/// folds adjacent ticks into `Uniform` / `Translated` ranges and extends the
+/// final (stable) tick's range to `hi`, appending to `out`. The run must
+/// cover `lo ..= min(hi, max(lo, stable_from))`.
+fn merge_residual_run(
+    arena: &Interner,
     lo: u64,
     hi: u64,
     stable_from: u64,
-    mut step: impl FnMut(&mut A, u64) -> FormulaId,
-) -> Vec<SplitRange> {
-    debug_assert!(lo <= hi, "window [{lo}, {hi}] is empty");
-    // `prev` is the step result at `t − 1` (the residual of the previous
-    // tick, which for a `Translated` range differs from the range's stored
-    // `residual`).
-    let mut out: Vec<SplitRange> = Vec::new();
+    residuals: &[FormulaId],
+    out: &mut Vec<SplitRange>,
+) {
+    // `prev` is the residual of the previous tick, which for a `Translated`
+    // range differs from the range's stored `residual`.
     let mut prev: Option<FormulaId> = None;
-    let mut t = lo;
-    while t <= hi {
-        let f = step(arena, t);
+    for (i, &f) in residuals.iter().enumerate() {
+        let t = lo + i as u64;
         let stable = t >= stable_from;
         let upper = if stable { hi } else { t };
         let extended = match out.last_mut() {
@@ -894,73 +726,6 @@ fn progress_over_with<A: ArenaOps + ?Sized>(
                     // check requires the *new* member's shift ≥ 1, so the
                     // shift-0 member (window opening) always starts its own
                     // range.
-                    r.kind = RangeKind::Translated;
-                    r.hi = t;
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
-        };
-        if !extended {
-            out.push(SplitRange {
-                lo: t,
-                hi: upper,
-                residual: f,
-                kind: RangeKind::Uniform,
-            });
-        }
-        prev = Some(f);
-        if stable {
-            break;
-        }
-        t += 1;
-    }
-    out
-}
-
-/// Returns `true` if `prev` is the exact unit translate `S₁ f` of `f` and
-/// `f` itself still has shift slack ≥ 1 — the condition under which a range
-/// ending in `prev` may absorb `f` as a [`RangeKind::Translated`] member.
-fn is_unit_translate<A: ArenaOps + ?Sized>(arena: &A, prev: FormulaId, f: FormulaId) -> bool {
-    let mf = arena.node_meta(f);
-    if !mf.is_translatable() {
-        return false;
-    }
-    let mp = arena.node_meta(prev);
-    mp.slack == mf.slack + 1 && mp.canon == mf.canon
-}
-
-/// The merge half of [`progress_over_with`], applied to a run of residuals
-/// that has already been resolved (`residuals[i]` is the residual at tick
-/// `lo + i`): folds adjacent ticks into `Uniform` / `Translated` ranges and
-/// extends the final (stable) tick's range to `hi`, appending to `out`. The
-/// run must cover `lo ..= min(hi, max(lo, stable_from))` — exactly the ticks
-/// the scalar loop steps before breaking on stability — so both splitters
-/// produce identical range vectors for identical residual sequences.
-fn merge_residual_run<A: ArenaOps + ?Sized>(
-    arena: &A,
-    lo: u64,
-    hi: u64,
-    stable_from: u64,
-    residuals: &[FormulaId],
-    out: &mut Vec<SplitRange>,
-) {
-    let mut prev: Option<FormulaId> = None;
-    for (i, &f) in residuals.iter().enumerate() {
-        let t = lo + i as u64;
-        let stable = t >= stable_from;
-        let upper = if stable { hi } else { t };
-        let extended = match out.last_mut() {
-            Some(r) if r.hi + 1 == t => {
-                if prev == Some(f) && r.kind == RangeKind::Uniform && arena.is_time_invariant(f) {
-                    r.hi = upper;
-                    true
-                } else if !stable
-                    && (r.kind == RangeKind::Translated || r.lo == r.hi)
-                    && prev.is_some_and(|p| is_unit_translate(arena, p, f))
-                {
                     r.kind = RangeKind::Translated;
                     r.hi = t;
                     true

@@ -42,7 +42,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::cast_possible_wrap)
+)]
 
 mod arena;
 mod atom;
@@ -59,13 +62,13 @@ mod state;
 pub mod testgen;
 mod trace;
 
-pub use arena::{ArenaOps, ProbeScratch, RangeKind, SplitRange};
+pub use arena::{ProbeScratch, RangeKind, SplitRange};
 pub use atom::Prop;
 pub use eval::{evaluate, evaluate_at, evaluate_from};
 pub use formula::Formula;
 pub use intern::{
-    ArenaMemory, CacheStats, FormulaId, FormulaRemap, GapKey, Interner, Node, NodeKind, NodeMeta,
-    OneKey, RemapCollected, ShiftedId, StateKey,
+    ArenaMemory, CacheStats, FormulaId, FormulaRemap, Interner, Node, NodeKind, NodeMeta,
+    RemapCollected, ShiftedId, StateKey,
 };
 pub use interval::Interval;
 pub use parser::{parse, ParseError};

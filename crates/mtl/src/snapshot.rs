@@ -595,7 +595,7 @@ pub fn decode_arena(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse, state, ArenaOps};
+    use crate::{parse, state};
 
     fn sample_formulas() -> Vec<Formula> {
         vec![
@@ -708,10 +708,7 @@ mod tests {
         let roots: Vec<FormulaId> = sample_formulas().iter().map(|f| arena.intern(f)).collect();
         // Touch the shift-normal machinery so canon links and the watermark
         // are non-trivial.
-        let normals: Vec<_> = roots
-            .iter()
-            .map(|&id| ArenaOps::normalize(&arena, id))
-            .collect();
+        let normals: Vec<_> = roots.iter().map(|&id| arena.normalize(id)).collect();
         let mut w = SnapshotWriter::new();
         encode_arena(&mut w, &arena);
         let bytes = w.into_bytes();
@@ -724,8 +721,8 @@ mod tests {
         for (i, &new_id) in map.iter().enumerate() {
             let old_id = FormulaId::from_raw(i as u32);
             assert_eq!(
-                ArenaOps::resolve(&restored, new_id),
-                ArenaOps::resolve(&arena, old_id),
+                restored.resolve(new_id),
+                arena.resolve(old_id),
                 "node {i} must resolve identically"
             );
             let old_meta = arena.node_meta(old_id);
@@ -736,7 +733,7 @@ mod tests {
         }
         // Shift-normal decompositions survive the roundtrip.
         for (&root, &normal) in roots.iter().zip(&normals) {
-            let restored_normal = ArenaOps::normalize(&restored, map[root.index()]);
+            let restored_normal = restored.normalize(map[root.index()]);
             assert_eq!(restored_normal.shift, normal.shift);
             assert_eq!(restored_normal.id, map[normal.id.index()]);
         }
@@ -747,17 +744,14 @@ mod tests {
         let mut arena = Interner::new();
         let keep = arena.intern(&parse("G[0,inf) (a -> F[2,8) b)").unwrap());
         let _dead = arena.intern(&parse("F[0,30) zz").unwrap());
-        let keep = ArenaOps::normalize(&arena, keep);
+        let keep = arena.normalize(keep);
         let remap = arena.compact([keep.id]);
         let keep = remap.remap_unchecked(keep.id);
         let mut w = SnapshotWriter::new();
         encode_arena(&mut w, &arena);
         let bytes = w.into_bytes();
         let (restored, map) = decode_arena(&mut SnapshotReader::new(&bytes)).unwrap();
-        assert_eq!(
-            ArenaOps::resolve(&restored, map[keep.index()]),
-            ArenaOps::resolve(&arena, keep)
-        );
+        assert_eq!(restored.resolve(map[keep.index()]), arena.resolve(keep));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! arena must actually cons — structurally equal formulas share one id.
 
 use rvmtl_mtl::testgen::{gen_formula, gen_state, gen_trace, GenConfig};
-use rvmtl_mtl::{evaluate, simplify, ArenaOps, Formula, Interner, TimedTrace};
+use rvmtl_mtl::{
+    evaluate, simplify, Formula, FormulaId, Interner, ProbeScratch, RangeKind, ShiftedId,
+    SplitRange, TimedTrace,
+};
 use rvmtl_prng::StdRng;
 
 const CASES: usize = 256;
@@ -171,7 +174,10 @@ fn progress_one_over_tiles_windows_for_random_formulas() {
         let lo = time + rng.gen_range(0u64..4);
         let hi = lo + rng.gen_range(0u64..30);
         let id = interner.intern(&phi);
-        let splits = interner.progress_one_over(&state, time, id, lo, hi);
+        let key = interner.intern_state(&state);
+        let mut splits = Vec::new();
+        let scratch = &mut ProbeScratch::default();
+        interner.progress_one_over(key, time, id, lo, hi, scratch, &mut splits);
         let mut expected = lo;
         for r in &splits {
             assert_eq!(r.lo, expected, "phi = {phi}");
@@ -179,10 +185,8 @@ fn progress_one_over_tiles_windows_for_random_formulas() {
             expected = r.hi + 1;
             for t in r.lo..=r.hi {
                 let asserted = match r.kind {
-                    rvmtl_mtl::RangeKind::Uniform => r.residual,
-                    rvmtl_mtl::RangeKind::Translated => {
-                        ArenaOps::translate_down(&mut interner, r.residual, t - r.lo)
-                    }
+                    RangeKind::Uniform => r.residual,
+                    RangeKind::Translated => interner.translate_down(r.residual, t - r.lo),
                 };
                 assert_eq!(
                     interner.progress_one(&state, time, id, t),
@@ -192,6 +196,102 @@ fn progress_one_over_tiles_windows_for_random_formulas() {
             }
         }
         assert_eq!(expected, hi + 1, "phi = {phi}: ranges must tile [lo, hi]");
+    }
+}
+
+/// The interval splitters keep the tally contract of the per-tick loop they
+/// batch. Twin arenas are fed identical operations: one splits a window with
+/// `progress_one_over` / `progress_gap_over`, the other calls
+/// `progress_one_cached` / `progress_gap_cached` once per tick of the probed
+/// run `lo ..= min(hi, max(lo, anchor + horizon))`. After every call both
+/// report equal `cache_stats()`, the splitter's probe count is the number of
+/// ticks the loop probes (zero-gap ticks probe nothing), and every probed
+/// tick's range asserts the residual the loop computed for it.
+#[test]
+fn splitters_match_the_per_tick_cached_loop() {
+    let mut rng = StdRng::seed_from_u64(0x7A11);
+    let mut split = Interner::new();
+    let mut ticked = Interner::new();
+    let scratch = &mut ProbeScratch::default();
+    let mut ranges = Vec::new();
+    for _ in 0..4 * CASES {
+        let phi = gen_phi(&mut rng);
+        // Delay some windows, so translated ranges and shift-relative keys
+        // are exercised too.
+        let shift = rng.gen_range(0u64..6);
+        let state = gen_state(&mut rng);
+        let anchor = rng.gen_range(0u64..4);
+        let lo = anchor + rng.gen_range(0u64..4);
+        let hi = lo + rng.gen_range(0u64..24);
+        let prepare = |arena: &mut Interner| {
+            let id = arena.intern(&phi);
+            (arena.translate_up(id, shift), arena.intern_state(&state))
+        };
+        let (id, key) = prepare(&mut split);
+        assert_eq!(prepare(&mut ticked), (id, key), "the twins run in lockstep");
+        let horizon = split.temporal_horizon(id);
+        let run = lo..=hi.min(lo.max(anchor + horizon));
+        let context = format!("phi = {phi}, shift {shift}, anchor {anchor}, [{lo}, {hi}]");
+
+        let probes = split.progress_one_over(key, anchor, id, lo, hi, scratch, &mut ranges);
+        let per_tick: Vec<FormulaId> = run
+            .clone()
+            .map(|t| ticked.progress_one_cached(key, id, t - anchor))
+            .collect();
+        assert_eq!(split.cache_stats(), ticked.cache_stats(), "one: {context}");
+        assert_eq!(probes, per_tick.len(), "one: {context}");
+        assert_ranges_match(&split, &ticked, &ranges, lo, &per_tick, &context);
+
+        let probes = split.progress_gap_over(id, anchor, lo, hi, scratch, &mut ranges);
+        let per_tick: Vec<FormulaId> = run
+            .clone()
+            .map(|t| ticked.progress_gap_cached(id, t - anchor))
+            .collect();
+        let zero_gaps = run.filter(|t| (t - anchor).min(horizon) == 0).count();
+        assert_eq!(split.cache_stats(), ticked.cache_stats(), "gap: {context}");
+        assert_eq!(probes, per_tick.len() - zero_gaps, "gap: {context}");
+        assert_ranges_match(&split, &ticked, &ranges, lo, &per_tick, &context);
+    }
+    let stats = split.cache_stats();
+    assert!(
+        stats.one_hits > 0 && stats.one_misses > 0 && stats.gap_hits > 0 && stats.gap_misses > 0,
+        "the cases must reach both hits and misses of both caches: {stats:?}"
+    );
+}
+
+/// Checks that the range covering tick `lo + i` asserts, resolved in
+/// `split`, the formula `per_tick[i]` resolves to in `ticked`. Read-only on
+/// both arenas, so the twins stay in lockstep.
+fn assert_ranges_match(
+    split: &Interner,
+    ticked: &Interner,
+    ranges: &[SplitRange],
+    lo: u64,
+    per_tick: &[FormulaId],
+    context: &str,
+) {
+    for (t, &expected) in (lo..).zip(per_tick) {
+        let r = ranges
+            .iter()
+            .find(|r| (r.lo..=r.hi).contains(&t))
+            .unwrap_or_else(|| panic!("{context}: no range covers tick {t}"));
+        let asserted = match r.kind {
+            RangeKind::Uniform => split.resolve(r.residual),
+            RangeKind::Translated => {
+                // `translate_down(residual, t − lo)`, resolved without
+                // interning the translate.
+                let s = split.normalize(r.residual);
+                split.resolve_shifted(ShiftedId {
+                    shift: s.shift - (t - r.lo),
+                    id: s.id,
+                })
+            }
+        };
+        assert_eq!(
+            asserted,
+            ticked.resolve(expected),
+            "{context}, t = {t}, {r:?}"
+        );
     }
 }
 
@@ -208,7 +308,7 @@ fn shift_normal_decomposition_roundtrips_for_random_formulas() {
         let id = interner.intern(&phi);
         let s = interner.normalize(id);
         assert_eq!(
-            ArenaOps::materialize(&mut interner, s),
+            interner.materialize(s),
             id,
             "phi = {phi}: materialize must invert normalize"
         );
@@ -235,7 +335,7 @@ fn shift_normal_decomposition_roundtrips_for_random_formulas() {
             let delta = rng.gen_range(0u64..slack.min(8) + 1).min(slack);
             let translated = interner.progress_gap(id, delta);
             assert_eq!(
-                ArenaOps::translate_down(&mut interner, id, delta),
+                interner.translate_down(id, delta),
                 translated,
                 "phi = {phi}, delta = {delta}"
             );
@@ -293,7 +393,7 @@ fn compact_is_sound_under_shift_decompositions() {
                 let shift = rng.gen_range(0u64..7);
                 let id = interner.intern(&phi);
                 // Translate up: a delayed-window variant of the formula.
-                ArenaOps::translate_up(&mut interner, id, shift)
+                interner.translate_up(id, shift)
             })
             .collect();
         for _ in 0..6 {
@@ -328,13 +428,10 @@ fn compact_is_sound_under_shift_decompositions() {
             let new_canon = remap.remap(s.id).unwrap();
             // Materialising the remapped decomposition reproduces the
             // formula, and its tables are consistent.
-            let rebuilt = ArenaOps::materialize(
-                &mut interner,
-                rvmtl_mtl::ShiftedId {
-                    shift: s.shift,
-                    id: new_canon,
-                },
-            );
+            let rebuilt = interner.materialize(rvmtl_mtl::ShiftedId {
+                shift: s.shift,
+                id: new_canon,
+            });
             assert_eq!(
                 interner.resolve(rebuilt),
                 interner.resolve_shifted(rvmtl_mtl::ShiftedId {

@@ -13,9 +13,7 @@ use rvmtl_distrib::{
 };
 use rvmtl_monitor::{Integrity, Verdict, VerdictSet};
 use rvmtl_mtl::hashing::FxHashMap;
-use rvmtl_mtl::{
-    ArenaMemory, ArenaOps, CacheStats, Formula, FormulaId, Interner, ShiftedId, State,
-};
+use rvmtl_mtl::{ArenaMemory, CacheStats, Formula, FormulaId, Interner, ShiftedId, State};
 use rvmtl_obs::{FlightKind, FlightRecorder, Stopwatch, TelemetrySnapshot};
 use rvmtl_solver::SolverStats;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -316,7 +314,7 @@ impl StreamMonitor {
     pub fn add_query(&mut self, phi: &Formula) -> QueryId {
         let anchored_at = self.segmenter.open_base();
         let root = self.arena.intern(phi);
-        let root = ArenaOps::normalize(&self.arena, root);
+        let root = self.arena.normalize(root);
         self.metrics.register_query();
         self.queries.push(QueryState {
             root: phi.clone(),
@@ -710,7 +708,7 @@ impl StreamMonitor {
         let resolved: BTreeSet<Formula> = query
             .pending
             .iter()
-            .map(|&s| ArenaOps::resolve_shifted(&self.arena, s))
+            .map(|&s| self.arena.resolve_shifted(s))
             .collect();
         let mut verdicts = VerdictSet::from_formulas(resolved.iter());
         // An obligation lost to a panic can never collapse to a constant: it
@@ -761,7 +759,7 @@ impl StreamMonitor {
             .map(|q| {
                 q.pending
                     .iter()
-                    .map(|&s| ArenaOps::resolve_shifted(&self.arena, s))
+                    .map(|&s| self.arena.resolve_shifted(s))
                     .collect()
             })
             .collect();
@@ -881,7 +879,7 @@ impl StreamMonitor {
             // single query solves in its own pending order) before the
             // solver borrows the arena exclusively.
             for &s in &scratch.distinct {
-                let psi = ArenaOps::materialize(&mut self.arena, s);
+                let psi = self.arena.materialize(s);
                 scratch.seeds.push(psi);
             }
             // A panicking obligation is lost (for every query holding it,
@@ -908,7 +906,7 @@ impl StreamMonitor {
             }
             // Normalise once the solver has released the arena.
             for rewrite in &mut scratch.rewrites {
-                *rewrite = ArenaOps::normalize(&self.arena, rewrite.id);
+                *rewrite = self.arena.normalize(rewrite.id);
             }
             let mut cursor = 0;
             for query in self.queries.iter_mut().filter(|q| base >= q.anchored_at) {
@@ -931,7 +929,7 @@ impl StreamMonitor {
                             // now, while its id is still valid (GC may
                             // renumber the arena later).
                             let psi = scratch.seeds[k];
-                            query.lost.insert(ArenaOps::resolve(&self.arena, psi));
+                            query.lost.insert(self.arena.resolve(psi));
                             query.panics += 1;
                             self.worker_panics += 1;
                         }
@@ -997,7 +995,7 @@ impl StreamMonitor {
             let seed = *self.worker_memos[u % dealt]
                 .seeds
                 .entry(s)
-                .or_insert_with(|| arena.intern(&ArenaOps::resolve_shifted(&self.arena, s)));
+                .or_insert_with(|| arena.intern(&self.arena.resolve_shifted(s)));
             shares[u % dealt].push((entry, seed));
         }
         let jobs: Vec<Job> = shares
@@ -1053,7 +1051,7 @@ impl StreamMonitor {
                     .map(|psi| {
                         *to_query.entry(psi).or_insert_with(|| {
                             let id = self.arena.intern(&arena.resolve(psi));
-                            ArenaOps::normalize(&self.arena, id)
+                            self.arena.normalize(id)
                         })
                     })
                     .collect();

@@ -95,7 +95,7 @@
 //! The interval abstraction of point 2 collapses a time range only when its
 //! residual is fully time-invariant. The arena's *shift-normal form*
 //! ([`rvmtl_mtl::Interner::shift_slack`] /
-//! [`rvmtl_mtl::ArenaOps::normalize`]) extends the collapse to residuals
+//! [`rvmtl_mtl::Interner::normalize`]) extends the collapse to residuals
 //! that still carry live bounded windows, as long as those windows have not
 //! *opened*: two pending formulas that are exact time-translates of each
 //! other (same canonical residual, shifts ≥ 1) do identical future work at
@@ -129,7 +129,7 @@
 //!   [`SolverStats::shift_normalized_nodes`].
 //! * **Shift-relative progression caches.** The arena's
 //!   `one_cache`/`gap_cache` are keyed `(canonical residual, elapsed −
-//!   shift)` ([`rvmtl_mtl::ArenaOps::progress_one_cached`]), so the
+//!   shift)` ([`rvmtl_mtl::Interner::progress_one_cached`]), so the
 //!   progression *results* feeding the search are likewise computed once per
 //!   zone, not once per absolute anchor — and survive GC compaction exactly
 //!   when their canonical endpoints do.
@@ -151,15 +151,14 @@
 //! * **Fused metadata records.** Everything the engine asks about a pending
 //!   formula besides its children — kind tag, temporal horizon, shift slack,
 //!   canonical residual — lives in one dense [`rvmtl_mtl::NodeMeta`] table
-//!   entry ([`rvmtl_mtl::ArenaOps::node_meta`]). The pre-memo rewrite and
+//!   entry ([`rvmtl_mtl::Interner::node_meta`]). The pre-memo rewrite and
 //!   the range-collapse checks issue a single indexed read where the PR 4
 //!   engine walked three parallel side tables, and the progression caches
-//!   are keyed by packed `u128` scalars ([`rvmtl_mtl::OneKey`] /
-//!   [`rvmtl_mtl::GapKey`]) that hash as two words and compare as one
-//!   integer instead of field-by-field tuples.
+//!   are keyed by packed `u128` scalars that hash as two words and compare
+//!   as one integer instead of field-by-field tuples.
 //! * **The arena shift watermark.** An arena that has never interned a
 //!   nonzero-finite-slack node reports
-//!   [`rvmtl_mtl::ArenaOps::ever_shifted`]` == false`, and every consumer
+//!   [`rvmtl_mtl::Interner::ever_shifted`]` == false`, and every consumer
 //!   short-circuits: `normalize` is the identity, cache keys stay in the
 //!   direct PR 2 form, and the engine's pre-memo zone rewrite reduces
 //!   to the time-invariant advance — provably the only rewrite a shift-free
@@ -188,15 +187,15 @@
 //!   segment.
 //! * **Batched cache probes.** The per-tick progression-cache lookups of a
 //!   window are issued as *one* contiguous walk per `(node, event)` batch
-//!   ([`rvmtl_mtl::ArenaOps::progress_one_over_batched`] /
-//!   [`rvmtl_mtl::ArenaOps::progress_gap_over_batched`]): keys for the whole
+//!   ([`rvmtl_mtl::Interner::progress_one_over`] /
+//!   [`rvmtl_mtl::Interner::progress_gap_over`]): keys for the whole
 //!   window are packed first, probed together, and the misses are resolved
 //!   together afterwards. Within one batch all
 //!   packed keys are distinct — the shift-relative key coordinate strictly
 //!   increases across the run and the horizon clamp is reached only at the
 //!   final tick — so probe-all-then-resolve observes exactly the hit/miss
-//!   tallies of the interleaved scalar loop, which keeps the cache counters
-//!   pinnable. The zone rewrite is likewise amortised: siblings sharing a
+//!   tallies of calling [`rvmtl_mtl::Interner::progress_one_cached`] once
+//!   per tick, which keeps the cache counters pinnable. The zone rewrite is likewise amortised: siblings sharing a
 //!   canonical residual are batch entries of one splitter call, not repeated
 //!   `normalize` walks.
 //! * **Staged memo slots.** The search memo is an open-addressed table
@@ -212,15 +211,15 @@
 //!   and assembles each node's contribution set in the same single pass
 //!   (children deposit into the parent frame's sink). The retained
 //!   recursive engine ([`ExploreEngine::Reference`]) runs the identical
-//!   search through the same batched splitters; the `engine_differential`
+//!   search through the same splitters; the `engine_differential`
 //!   suite pins verdict sets *and* full [`SolverStats`] equality between
-//!   the two across ε sweeps, property suites, the saturation fixtures and
-//!   both arenas. `BENCH_9.json` records the ns/state gap between them.
+//!   the two across ε sweeps, property suites and the saturation fixtures.
+//!   `BENCH_9.json` records the ns/state gap between them.
 //!
 //! The batch shape itself is pinned: [`SolverStats::frontier_batches`] (one
 //! per `(node, event)` expansion with a non-empty clipped window) and
 //! [`SolverStats::batched_probe_ticks`] (per-tick probes issued through the
-//! batched entry points) are structural counts, identical across engines
+//! splitters) are structural counts, identical across engines
 //! and recorded in `BENCH_PINS.json` like every other search-shape counter.
 //!
 //! The search-shape counters ([`SolverStats`], including the

@@ -56,8 +56,8 @@ use crate::memo::{MemoProbe, MemoTable, StagedSlot};
 use rvmtl_distrib::{Cut, DistributedComputation, EventId};
 use rvmtl_mtl::hashing::FxHashMap;
 use rvmtl_mtl::{
-    evaluate, ArenaOps, Formula, FormulaId, Interner, ProbeScratch, RangeKind, SplitRange,
-    StateKey, TimedTrace,
+    evaluate, Formula, FormulaId, Interner, ProbeScratch, RangeKind, SplitRange, StateKey,
+    TimedTrace,
 };
 use std::collections::BTreeSet;
 use std::mem;
@@ -67,8 +67,8 @@ use std::sync::Arc;
 ///
 /// Both engines execute the *same* search — identical verdict sets and
 /// identical [`SolverStats`] on every input, which the `engine_differential`
-/// suite asserts across ε sweeps, property suites and both arenas. They
-/// differ only in how the search tree is traversed:
+/// suite asserts across ε sweeps, property suites and the saturation
+/// fixtures. They differ only in how the search tree is traversed:
 ///
 /// * [`ExploreEngine::WorkStack`] (the default) — the data-oriented core: an
 ///   explicit work stack over struct-of-arrays frontier batches, batched
@@ -163,10 +163,10 @@ solver_stats! {
     /// non-empty admissible window. Structural — both explore engines count
     /// the same expansions, so the figure is pinnable.
     frontier_batches,
-    /// Number of per-tick cache probes issued through the batched splitter
-    /// entry points (`progress_one_over_batched` / `progress_gap_over_batched`
-    /// — one contiguous hash-table walk per batch instead of one per tick).
-    /// Structural, like `frontier_batches`.
+    /// Number of per-tick cache probes issued through the interval splitters
+    /// (`progress_one_over` / `progress_gap_over` — one contiguous hash-table
+    /// walk per batch instead of one per tick). Structural, like
+    /// `frontier_batches`.
     batched_probe_ticks,
 }
 
@@ -291,18 +291,22 @@ pub struct InternedProgression {
 /// alive across all segments of a query, so the stable parts of the
 /// specification are interned exactly once.
 ///
-/// The solver is generic over [`ArenaOps`] and borrows its arena exclusively;
-/// the streaming runtime's pipelined path gives each worker an [`Interner`]
-/// of its own, so the arena, its progression caches and the solver's memo
-/// tables are all private to one thread.
-pub struct SegmentSolver<'a, 'i, A: ArenaOps = Interner> {
-    engine: Engine<'a, 'i, A>,
+/// The solver borrows its [`Interner`] exclusively; the streaming runtime's
+/// pipelined path gives each worker an arena of its own, so the arena, its
+/// progression caches and the solver's memo tables are all private to one
+/// thread.
+pub struct SegmentSolver<'a, 'i> {
+    engine: Engine<'a, 'i>,
 }
 
-impl<'a, 'i, A: ArenaOps> SegmentSolver<'a, 'i, A> {
+impl<'a, 'i> SegmentSolver<'a, 'i> {
     /// Creates a solver for `comp` anchoring residuals at `next_anchor`,
     /// interning formulas in the caller's arena.
-    pub fn new(comp: &'a DistributedComputation, next_anchor: u64, interner: &'i mut A) -> Self {
+    pub fn new(
+        comp: &'a DistributedComputation,
+        next_anchor: u64,
+        interner: &'i mut Interner,
+    ) -> Self {
         SegmentSolver {
             engine: Engine::new(comp, next_anchor, usize::MAX, interner),
         }
@@ -357,7 +361,7 @@ impl<'a, 'i, A: ArenaOps> SegmentSolver<'a, 'i, A> {
     /// tests without unsafe hooks or extra dependencies.
     #[cfg(feature = "test-panic")]
     fn panic_if_marked(&self, psi: FormulaId) {
-        let phi = ArenaOps::resolve(&*self.engine.interner, psi);
+        let phi = self.engine.interner.resolve(psi);
         if phi.atoms().iter().any(|p| p.name() == "__panic__") {
             panic!("test-panic: progressing a formula marked with the __panic__ atom");
         }
@@ -436,7 +440,7 @@ struct SegmentCaches {
     /// rank — the bound up to which a node's pending time can be advanced
     /// without changing its children (see [`Engine::canonical_node`]).
     min_lo_cache: FxHashMap<u128, u64>,
-    /// Key/result buffers of the batched probe splitters, pooled across
+    /// Key/result buffers of the interval splitters, pooled across
     /// every progression of the segment (scratch).
     probe: ProbeScratch,
     /// Residual ranges of the event currently being progressed (scratch).
@@ -624,13 +628,13 @@ enum Action {
     PopUnwind,
 }
 
-struct Engine<'a, 'i, A: ArenaOps> {
+struct Engine<'a, 'i> {
     comp: &'a DistributedComputation,
     next_anchor: u64,
     limit: usize,
     /// Hash-consed formula arena, borrowed from the caller so it can span
     /// several segments (and every pending formula of each).
-    interner: &'i mut A,
+    interner: &'i mut Interner,
     /// The per-segment caches (memo, feasibility, per-cut tables, ranker).
     caches: SegmentCaches,
     stats: SolverStats,
@@ -641,14 +645,14 @@ struct Engine<'a, 'i, A: ArenaOps> {
 
 /// Early-stop predicate over found formulas; receives the arena so it can
 /// inspect (e.g. finalize) the formula without resolving it to a tree.
-type StopFn<'s, A> = dyn FnMut(&A, FormulaId) -> bool + 's;
+type StopFn<'s> = dyn FnMut(&Interner, FormulaId) -> bool + 's;
 
-impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
+impl<'a, 'i> Engine<'a, 'i> {
     fn new(
         comp: &'a DistributedComputation,
         next_anchor: u64,
         limit: usize,
-        interner: &'i mut A,
+        interner: &'i mut Interner,
     ) -> Self {
         Engine {
             comp,
@@ -664,7 +668,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
 
     /// Explores the full search space for `psi`. Returns `true` if `stop`
     /// accepted a formula (or the limit was reached) before exhaustion.
-    fn run(&mut self, psi: FormulaId, stop: &mut StopFn<'_, A>) -> bool {
+    fn run(&mut self, psi: FormulaId, stop: &mut StopFn<'_>) -> bool {
         let mut sink = Vec::new();
         match self.mode {
             ExploreEngine::WorkStack => self.run_stack(psi, stop, &mut sink),
@@ -752,7 +756,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
     ///
     /// # Shift-free fast path
     ///
-    /// When the arena's shift watermark ([`ArenaOps::ever_shifted`]) is down
+    /// When the arena's shift watermark ([`Interner::ever_shifted`]) is down
     /// — no node with a nonzero finite slack was ever interned, the common
     /// case for specifications whose windows all start at zero — every
     /// pending formula provably has slack 0 or `u64::MAX`, so the only
@@ -917,7 +921,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
         rank: u128,
         pending_time: u64,
         psi: FormulaId,
-        stop: &mut StopFn<'_, A>,
+        stop: &mut StopFn<'_>,
         sink: &mut Vec<FormulaId>,
     ) -> bool {
         if self.found.len() >= self.limit {
@@ -978,7 +982,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
                 let probes = if cut.size() == 0 {
                     // No observation is pending yet: only time has passed
                     // since the formula's (canonical) anchor.
-                    self.interner.progress_gap_over_batched(
+                    self.interner.progress_gap_over(
                         psi,
                         pending_time,
                         lo,
@@ -988,7 +992,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
                     )
                 } else {
                     let key = self.frontier(cut, rank);
-                    self.interner.progress_one_over_batched(
+                    self.interner.progress_one_over(
                         key,
                         pending_time,
                         psi,
@@ -1067,7 +1071,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
     fn run_stack(
         &mut self,
         psi: FormulaId,
-        stop: &mut StopFn<'_, A>,
+        stop: &mut StopFn<'_>,
         sink: &mut Vec<FormulaId>,
     ) -> bool {
         let mut scratch = mem::take(&mut self.caches.stack);
@@ -1080,7 +1084,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
         &mut self,
         scratch: &mut StackScratch,
         psi: FormulaId,
-        stop: &mut StopFn<'_, A>,
+        stop: &mut StopFn<'_>,
         sink: &mut Vec<FormulaId>,
     ) -> bool {
         let process_count = self.comp.process_count();
@@ -1149,7 +1153,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
                             self.comp.event(event).process.0,
                         );
                         let probes = if frame.empty_cut {
-                            self.interner.progress_gap_over_batched(
+                            self.interner.progress_gap_over(
                                 frame.psi,
                                 frame.time,
                                 lo,
@@ -1159,7 +1163,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
                             )
                         } else {
                             let key = self.frontier(cut, frame.rank);
-                            self.interner.progress_one_over_batched(
+                            self.interner.progress_one_over(
                                 key,
                                 frame.time,
                                 frame.psi,
@@ -1243,7 +1247,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
         rank: u128,
         pending_time: u64,
         psi: FormulaId,
-        stop: &mut StopFn<'_, A>,
+        stop: &mut StopFn<'_>,
         parent_sink: &mut Vec<FormulaId>,
         frame: &mut Frame,
     ) -> Activation {
@@ -1323,7 +1327,7 @@ impl<'a, 'i, A: ArenaOps> Engine<'a, 'i, A> {
         slot: StagedSlot,
         local: &mut Vec<FormulaId>,
         parent_sink: &mut Vec<FormulaId>,
-        stop: &mut StopFn<'_, A>,
+        stop: &mut StopFn<'_>,
     ) -> bool {
         local.sort_unstable();
         local.dedup();

@@ -150,8 +150,8 @@ fn delayed_window_verdicts_match_bruteforce_across_epsilon() {
             let shift = rng.gen_range(1u64..8);
             let mut interner = rvmtl_mtl::Interner::new();
             let id = interner.intern(&base);
-            let shifted = rvmtl_mtl::ArenaOps::translate_up(&mut interner, id, shift);
-            let phi = rvmtl_mtl::ArenaOps::resolve(&interner, shifted);
+            let shifted = interner.translate_up(id, shift);
+            let phi = interner.resolve(shifted);
             let anchor = comp.max_local_time() + comp.epsilon();
             let result = ProgressionQuery::new(&comp, anchor).distinct_progressions(&phi);
             normalized_nodes += result.stats.shift_normalized_nodes;

@@ -8,7 +8,7 @@
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig, PROPS};
-use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner};
+use rvmtl_mtl::{parse, state, Formula, Interner};
 use rvmtl_prng::StdRng;
 use rvmtl_solver::{ExploreEngine, SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 /// Returns the full stats, the rewritten-formula ids (order-preserving, so
 /// comparisons also pin emission order), and the verdict set.
 fn solve(
-    arena: &mut impl ArenaOps,
+    arena: &mut Interner,
     comp: &DistributedComputation,
     phi: &Formula,
     engine: ExploreEngine,
@@ -166,8 +166,8 @@ fn engines_agree_on_delayed_window_suite() {
             let shift = rng.gen_range(1u64..8);
             let mut scratch = Interner::new();
             let id = scratch.intern(&base);
-            let shifted = ArenaOps::translate_up(&mut scratch, id, shift);
-            let phi = ArenaOps::resolve(&scratch, shifted);
+            let shifted = scratch.translate_up(id, shift);
+            let phi = scratch.resolve(shifted);
             let stats = assert_engines_agree(
                 &comp,
                 &phi,

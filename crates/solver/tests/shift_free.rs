@@ -9,7 +9,7 @@
 
 use rvmtl_distrib::{ComputationBuilder, DistributedComputation};
 use rvmtl_mtl::testgen::{gen_formula, GenConfig};
-use rvmtl_mtl::{parse, state, ArenaOps, Formula, Interner};
+use rvmtl_mtl::{parse, state, Formula, Interner};
 use rvmtl_prng::StdRng;
 use rvmtl_solver::{SegmentSolver, SolverStats};
 use std::collections::BTreeSet;
@@ -44,8 +44,8 @@ fn shift_free_formulas(count: usize, seed: u64) -> Vec<Formula> {
 
 /// Runs `phi` through a `SegmentSolver` over `arena`, returning the stats of
 /// the query and the verdict set of its rewritten formulas.
-fn solve<A: ArenaOps>(
-    arena: &mut A,
+fn solve(
+    arena: &mut Interner,
     comp: &DistributedComputation,
     phi: &Formula,
 ) -> (SolverStats, BTreeSet<bool>) {
@@ -61,14 +61,14 @@ fn solve<A: ArenaOps>(
     (result.stats, verdicts)
 }
 
-fn solver_eval<A: ArenaOps>(arena: &A, id: rvmtl_mtl::FormulaId) -> bool {
+fn solver_eval(arena: &Interner, id: rvmtl_mtl::FormulaId) -> bool {
     arena.eval_empty(id)
 }
 
 /// Trips the watermark of an arena with a delayed-window node that shares no
 /// structure with the monitored formulas (fresh proposition), forcing every
 /// subsequent query through the per-node zone checks.
-fn trip<A: ArenaOps>(arena: &mut A) {
+fn trip(arena: &mut Interner) {
     let tripwire = parse("F[6,12) zz_tripwire").unwrap();
     let _ = arena.intern(&tripwire);
     assert!(arena.ever_shifted(), "tripwire must raise the watermark");
